@@ -13,8 +13,6 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, TextIO
 
-import numpy as np
-
 from .elliptic import E_pq, K_pq
 from .gentrig import PQParams, cos_pq, pi_pq, sin_pq, tan_pq
 from .means import mean_ag, mean_kp, mean_log, mean_mp, ordering
@@ -22,8 +20,6 @@ from .numerics import ConvergenceError, EvalResult, HypSeriesSpec, hyp2f1
 from .suites import SUITE_NAMES, run_suite
 
 __all__ = ["main"]
-
-_EPS = 2.220446049250313e-16
 
 # canonical flag order; grid axes iterate in this order, first axis outermost
 _AXIS_FLAGS = ("p", "q", "k", "a", "b", "c", "x")
@@ -48,7 +44,15 @@ class GridSpec:
             raise _UsageError(f"grid needs count >= 2, got {self.count}")
 
     def points(self) -> list[float]:
-        return [float(v) for v in np.linspace(self.start, self.stop, self.count)]
+        """numpy.linspace's formula: start + i*step, the last point pinned to stop."""
+        div = self.count - 1
+        delta = self.stop - self.start
+        step = delta / div
+        if step == 0.0:  # the step underflows; scale the fraction i/div instead
+            pts = [self.start + i / div * delta for i in range(div)]
+        else:
+            pts = [self.start + i * step for i in range(div)]
+        return pts + [self.stop]
 
 
 def _need(args: dict, names: tuple[str, ...], fn: str) -> list[float]:
@@ -61,10 +65,12 @@ def _need(args: dict, names: tuple[str, ...], fn: str) -> list[float]:
     return vals
 
 
-def _eval_pi(args: dict) -> EvalResult:
-    p, q = _need(args, ("p", "q"), "pi_pq")
-    v = pi_pq(PQParams(p, q))
-    return EvalResult(v, 4.0 * _EPS * abs(v), "closed_form")
+def _eval_closed(fn: Callable, flags: tuple[str, ...], name: str) -> Callable[[dict], EvalResult]:
+    def handler(args: dict) -> EvalResult:
+        v = fn(*_need(args, flags, name))
+        return EvalResult(v, 4.0 * sys.float_info.epsilon * abs(v), "closed_form")
+
+    return handler
 
 
 def _eval_trig(fn: Callable, name: str) -> Callable[[dict], EvalResult]:
@@ -85,18 +91,6 @@ def _eval_elliptic(fn: Callable, name: str) -> Callable[[dict], EvalResult]:
         return fn(PQParams(p, q), k, **kwargs)
 
     return handler
-
-
-def _eval_log(args: dict) -> EvalResult:
-    a, b = _need(args, ("a", "b"), "L")
-    v = mean_log(a, b)
-    return EvalResult(v, 4.0 * _EPS * abs(v), "closed_form")
-
-
-def _eval_ag(args: dict) -> EvalResult:
-    a, b = _need(args, ("a", "b"), "AG")
-    v = mean_ag(a, b)
-    return EvalResult(v, 4.0 * _EPS * abs(v), "closed_form")
 
 
 _METHOD_TAG = {
@@ -145,14 +139,14 @@ def _eval_ordering(args: dict) -> EvalResult:
 
 
 _EVAL_FNS: dict[str, Callable[[dict], EvalResult]] = {
-    "pipq": _eval_pi,
+    "pipq": _eval_closed(lambda p, q: pi_pq(PQParams(p, q)), ("p", "q"), "pi_pq"),
     "sinpq": _eval_trig(sin_pq, "sin_pq"),
     "cospq": _eval_trig(cos_pq, "cos_pq"),
     "tanpq": _eval_trig(tan_pq, "tan_pq"),
     "kpq": _eval_elliptic(K_pq, "K_pq"),
     "epq": _eval_elliptic(E_pq, "E_pq"),
-    "l": _eval_log,
-    "ag": _eval_ag,
+    "l": _eval_closed(mean_log, ("a", "b"), "L"),
+    "ag": _eval_closed(mean_ag, ("a", "b"), "AG"),
     "mp": _eval_mp,
     "kp": _eval_kp,
     "hyp2f1": _eval_hyp,

@@ -10,6 +10,7 @@ differential system in k, and a Legendre-type product relation ties the
 from __future__ import annotations
 
 import math
+import sys
 
 from .gentrig import PQParams, pi_pq
 from .numerics import (
@@ -24,21 +25,42 @@ from .numerics import (
 
 __all__ = ["E_pq", "K_pq", "dE_dk", "dK_dk", "legendre_residual", "moment_sin_pq"]
 
-_EPS = 2.220446049250313e-16
-
 
 def _check_modulus(k: float) -> None:
     if not 0.0 <= k < 1.0:
         raise ValueError(f"modulus k must lie in [0, 1), got {k!r}")
 
 
-def _series_result(params: PQParams, first_index: float, kq: float) -> EvalResult:
-    half = 0.5 * pi_pq(params)
-    r = hyp2f1(
-        HypSeriesSpec(first_index, 1.0 / params.q, 1.0 / params.p_star + 1.0 / params.q, kq)
-    )
-    value = half * r.value
-    return EvalResult(value, half * r.abs_err + 4.0 * _EPS * abs(value), "series")
+def _complete(
+    params: PQParams, k: float, method: str, tol: float, a: float, t_exp: float, kt_exp: float
+) -> EvalResult:
+    """Shared body of K_pq and E_pq, which differ only in three exponents:
+    the series (pi_pq/2) F(a, 1/q; 1/p* + 1/q; k^q) and the quadrature of
+    integral_0^1 (1 - t^q)^t_exp (1 - k^q t^q)^kt_exp dt."""
+    _check_modulus(k)
+    kq = k ** params.q
+    if method == "auto":
+        method = "series" if kq <= SERIES_ARG_MAX else "quadrature"
+    if method == "series":
+        if kq > SERIES_ARG_MAX:
+            raise ValueError(f"series route requires k^q <= {SERIES_ARG_MAX}, got {kq:g}")
+        half = 0.5 * pi_pq(params)
+        r = hyp2f1(HypSeriesSpec(a, 1.0 / params.q, 1.0 / params.p_star + 1.0 / params.q, kq))
+        value = half * r.value
+        return EvalResult(
+            value, half * r.abs_err + 4.0 * sys.float_info.epsilon * abs(value), "series"
+        )
+    if method == "quadrature":
+        q = params.q
+        kc = 1.0 - k
+
+        def integrand(t: float, tc: float) -> float:
+            omt = _one_minus_pow(t, tc, q)
+            omkt = _one_minus_pow(k * t, kc + k * tc, q)
+            return omt**t_exp * omkt**kt_exp
+
+        return integrate_singular(integrand, tol, complement=True)
+    raise ValueError(f"unknown method {method!r}; expected auto, series, or quadrature")
 
 
 def K_pq(params: PQParams, k: float, method: str = "auto", tol: float = 1e-12) -> EvalResult:
@@ -50,27 +72,8 @@ def K_pq(params: PQParams, k: float, method: str = "auto", tol: float = 1e-12) -
     nears its logarithmic singularity.  K equals pi_pq/2 at k = 0 and grows
     without bound as k -> 1.
     """
-    _check_modulus(k)
-    kq = k ** params.q
-    if method == "auto":
-        method = "series" if kq <= SERIES_ARG_MAX else "quadrature"
-    if method == "series":
-        if kq > SERIES_ARG_MAX:
-            raise ValueError(f"series route requires k^q <= {SERIES_ARG_MAX}, got {kq:g}")
-        return _series_result(params, 1.0 / params.p_star, kq)
-    if method == "quadrature":
-        q = params.q
-        neg_inv_p = -1.0 / params.p
-        neg_inv_ps = -1.0 / params.p_star
-        kc = 1.0 - k
-
-        def integrand(t: float, tc: float) -> float:
-            omt = _one_minus_pow(t, tc, q)
-            omkt = _one_minus_pow(k * t, kc + k * tc, q)
-            return omt**neg_inv_p * omkt**neg_inv_ps
-
-        return integrate_singular(integrand, tol, complement=True)
-    raise ValueError(f"unknown method {method!r}; expected auto, series, or quadrature")
+    inv_ps = 1.0 / params.p_star
+    return _complete(params, k, method, tol, inv_ps, -1.0 / params.p, -inv_ps)
 
 
 def E_pq(params: PQParams, k: float, method: str = "auto", tol: float = 1e-12) -> EvalResult:
@@ -80,26 +83,8 @@ def E_pq(params: PQParams, k: float, method: str = "auto", tol: float = 1e-12) -
     integral_0^1 ((1 - k^q t^q) / (1 - t^q))^(1/p) dt.  E equals pi_pq/2 at
     k = 0 and tends to 1 as k -> 1.
     """
-    _check_modulus(k)
-    kq = k ** params.q
-    if method == "auto":
-        method = "series" if kq <= SERIES_ARG_MAX else "quadrature"
-    if method == "series":
-        if kq > SERIES_ARG_MAX:
-            raise ValueError(f"series route requires k^q <= {SERIES_ARG_MAX}, got {kq:g}")
-        return _series_result(params, -1.0 / params.p, kq)
-    if method == "quadrature":
-        q = params.q
-        inv_p = 1.0 / params.p
-        kc = 1.0 - k
-
-        def integrand(t: float, tc: float) -> float:
-            omt = _one_minus_pow(t, tc, q)
-            omkt = _one_minus_pow(k * t, kc + k * tc, q)
-            return omkt**inv_p * omt**-inv_p
-
-        return integrate_singular(integrand, tol, complement=True)
-    raise ValueError(f"unknown method {method!r}; expected auto, series, or quadrature")
+    inv_p = 1.0 / params.p
+    return _complete(params, k, method, tol, -inv_p, -inv_p, inv_p)
 
 
 def dK_dk(params: PQParams, k: float) -> float:

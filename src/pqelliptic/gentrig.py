@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .numerics import _one_minus_pow, beta, integrate_singular, invert_monotone
+from .numerics import _one_minus_pow, _one_minus_xp, beta, integrate_singular, invert_monotone
 
 __all__ = ["PQParams", "arcsin_pq", "cos_pq", "pi_pq", "sin_pq", "tan_pq"]
 
@@ -92,8 +92,7 @@ def cos_pq(params: PQParams, theta: float) -> float:
         return 1.0
     if s == 1.0:
         return 0.0
-    q = params.q
-    return (-math.expm1(q * math.log(s))) ** (1.0 / q)
+    return _one_minus_xp(s, params.q) ** (1.0 / params.q)
 
 
 def tan_pq(params: PQParams, theta: float) -> float:
@@ -106,5 +105,5 @@ def tan_pq(params: PQParams, theta: float) -> float:
     s = sin_pq(params, theta)
     if s == 1.0:
         raise ValueError("tan_pq diverges at theta = pi_pq/2")
-    c = (-math.expm1(params.q * math.log(s))) ** (1.0 / params.q) if s > 0.0 else 1.0
+    c = _one_minus_xp(s, params.q) ** (1.0 / params.q) if s > 0.0 else 1.0
     return s / c

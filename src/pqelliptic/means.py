@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .elliptic import K_pq
 from .gentrig import PQParams, pi_pq
 from .numerics import (
     SERIES_ARG_MAX,
     HypSeriesSpec,
+    _one_minus_xp,
     beta,
     hyp2f1,
     integrate_halfline,
@@ -97,11 +99,6 @@ def c_p(p: float) -> float:
     return p / beta(1.0 / p, 1.0 / p)
 
 
-def _one_minus_xp(x: float, p: float) -> float:
-    """1 - x^p without cancellation for x near 1."""
-    return -math.expm1(p * math.log(x))
-
-
 def _recip_mp_integral(x: float, p: float, tol: float) -> float:
     """1/M_p(1, x) as c_p times the half-line integral of
     ((t^p + 1)(t^p + x^p))^(-1/p)."""
@@ -120,58 +117,51 @@ def _recip_mp_integral(x: float, p: float, tol: float) -> float:
     return c_p(p) * integrate_halfline(f, tol).value
 
 
-def _recip_mp_nakamura(z: float, p: float) -> float:
-    """1/M_p(1, x) summed from the product-form series in z = 1 - x^p:
-    sum_k [ prod_{i<k} (1/p + i)^2 / (2/p + i) ] z^k / k!."""
-    inv_p = 1.0 / p
-    two_inv_p = 2.0 / p
-    total = 1.0
-    term = 1.0
-    small = 0
-    for k in range(1_000_000):
-        ratio = (inv_p + k) * (inv_p + k) / ((two_inv_p + k) * (k + 1.0))
-        term *= ratio * z
-        if abs(term) <= 1e-14 * abs(total):
-            small += 1
-            if small >= 2:
-                return total
-        else:
-            small = 0
-        total += term
-    raise RuntimeError("unreachable: series argument is below the fallback threshold")
+def _recip_kp_integral(x: float, p: float, tol: float) -> float:
+    """1/K_p(1, x) = integral_0^1 ((1-s) + x^p s)^(-1/p) ds."""
+    xp = x**p
+    neg_inv_p = -1.0 / p
+
+    def f(s: float, sc: float) -> float:
+        return (sc + xp * s) ** neg_inv_p
+
+    return integrate_singular(f, tol, complement=True).value
 
 
-def _recip_mp(x: float, p: float, method: str, tol: float) -> float:
-    arg = _one_minus_xp(x, p)
-    if method == "auto":
-        if arg <= 0.9:
-            method = "hyp_base"
-        elif (arg / (2.0 - arg)) ** 2 <= SERIES_ARG_MAX:
-            method = "hyp_quad"
-        else:
-            method = "integral"
-    if method == "hyp_base":
-        if arg > SERIES_ARG_MAX:
-            return _recip_mp_integral(x, p, tol)
-        return hyp2f1(HypSeriesSpec(1.0 / p, 1.0 / p, 2.0 / p, arg)).value
-    if method == "hyp_quad":
-        y = (arg / (2.0 - arg)) ** 2
-        if y > SERIES_ARG_MAX:
-            return _recip_mp_integral(x, p, tol)
-        pref = (0.5 * (2.0 - arg)) ** (-1.0 / p)
-        half_ip = 0.5 / p
-        return pref * hyp2f1(HypSeriesSpec(half_ip, half_ip + 0.5, 1.0 / p + 0.5, y)).value
-    if method == "elliptic":
-        par = PQParams(p / (p - 1.0), p)
-        k = arg ** (1.0 / p)
-        return 2.0 / pi_pq(par) * K_pq(par, k, tol=tol).value
+def _hyp_base(a: float, b: float, z: float) -> float:
+    """F(a, b; 2a; z) by the direct series."""
+    return hyp2f1(HypSeriesSpec(a, b, 2.0 * a, z)).value
+
+
+def _quad_arg(z: float) -> float:
+    """Argument (z/(2-z))^2 of the quadratically transformed series."""
+    return (z / (2.0 - z)) ** 2
+
+
+def _hyp_quad(a: float, b: float, z: float) -> float:
+    """F(a, b; 2a; z) by the quadratic transformation of the module docstring."""
+    return (1.0 - 0.5 * z) ** (-b) * hyp2f1(
+        HypSeriesSpec(0.5 * b, 0.5 * (b + 1.0), a + 0.5, _quad_arg(z))
+    ).value
+
+
+def _recip(x: float, p: float, a: float, method: str, integral: Callable, tol: float) -> float:
+    """1/mean(1, x) = F(a, 1/p; 2a; 1 - x^p), with a = 1/p for M_p and a = 1
+    for K_p, by the named series route or by the mean's ``integral``.
+
+    ``auto`` takes the base series for 1 - x^p <= 0.9 and the transformed one
+    beyond; ``nakamura`` is an alias of ``hyp_base``.  A series route whose
+    argument exceeds SERIES_ARG_MAX runs the integral instead.
+    """
     if method == "integral":
-        return _recip_mp_integral(x, p, tol)
-    if method == "nakamura":
-        if arg > SERIES_ARG_MAX:
-            return _recip_mp_integral(x, p, tol)
-        return _recip_mp_nakamura(arg, p)
-    raise ValueError(f"unknown method {method!r}; expected one of {_MP_METHODS}")
+        return integral(x, p, tol)
+    z = _one_minus_xp(x, p)
+    if method == "auto":
+        method = "hyp_base" if z <= 0.9 else "hyp_quad"
+    series, arg = (_hyp_quad, _quad_arg(z)) if method == "hyp_quad" else (_hyp_base, z)
+    if arg > SERIES_ARG_MAX:
+        return integral(x, p, tol)
+    return series(a, 1.0 / p, z)
 
 
 def mean_mp(a: float, b: float, p: float, method: str = "auto", tol: float = 1e-12) -> float:
@@ -180,8 +170,10 @@ def mean_mp(a: float, b: float, p: float, method: str = "auto", tol: float = 1e-
     p = 0 gives sqrt(ab) and p = 1 the logarithmic mean, both as stated
     limits; elsewhere the pair is normalized to (1, x), the reciprocal
     1/M_p(1, x) is evaluated by the selected representation and the result is
-    rescaled.  Series representations whose argument exceeds 0.99 fall back
-    to the half-line integral.
+    rescaled.  The four representations are ``integral``, ``elliptic``,
+    ``hyp_base`` and ``hyp_quad``; ``nakamura`` (the product-form series) is
+    an alias of ``hyp_base``, whose terms it equals.  Series representations
+    whose argument exceeds 0.99 fall back to the half-line integral.
     """
     _check_pair(a, b)
     if method not in _MP_METHODS:
@@ -197,18 +189,11 @@ def mean_mp(a: float, b: float, p: float, method: str = "auto", tol: float = 1e-
     scale, x = _normalized(a, b)
     if x == 1.0:  # distinct pair whose ratio still rounds to 1
         return scale
-    return scale / _recip_mp(x, p, method, tol)
-
-
-def _recip_kp_integral(x: float, p: float, tol: float) -> float:
-    """1/K_p(1, x) = integral_0^1 ((1-s) + x^p s)^(-1/p) ds."""
-    xp = x**p
-    neg_inv_p = -1.0 / p
-
-    def f(s: float, sc: float) -> float:
-        return (sc + xp * s) ** neg_inv_p
-
-    return integrate_singular(f, tol, complement=True).value
+    if method == "elliptic":
+        par = PQParams(p / (p - 1.0), p)
+        k = _one_minus_xp(x, p) ** (1.0 / p)
+        return scale / (2.0 / pi_pq(par) * K_pq(par, k, tol=tol).value)
+    return scale / _recip(x, p, 1.0 / p, method, _recip_mp_integral, tol)
 
 
 def mean_kp(a: float, b: float, p: float, method: str = "closed", tol: float = 1e-12) -> float:
@@ -237,34 +222,13 @@ def mean_kp(a: float, b: float, p: float, method: str = "closed", tol: float = 1
         num = _one_minus_xp(x, p)
         den = _one_minus_xp(x, p - 1.0)
         return scale * ((p - 1.0) / p) * (num / den)
-    arg = _one_minus_xp(x, p)
-    if method == "hyp_base":
-        if arg > SERIES_ARG_MAX:
-            recip = _recip_kp_integral(x, p, tol)
-        else:
-            recip = hyp2f1(HypSeriesSpec(1.0, 1.0 / p, 2.0, arg)).value
-    elif method == "hyp_quad":
-        y = (arg / (2.0 - arg)) ** 2
-        if y > SERIES_ARG_MAX:
-            recip = _recip_kp_integral(x, p, tol)
-        else:
-            pref = (0.5 * (2.0 - arg)) ** (-1.0 / p)
-            half_ip = 0.5 / p
-            recip = pref * hyp2f1(HypSeriesSpec(half_ip, half_ip + 0.5, 1.5, y)).value
-    else:
-        recip = _recip_kp_integral(x, p, tol)
-    return scale / recip
+    return scale / _recip(x, p, 1.0, method, _recip_kp_integral, tol)
 
 
 def quad_transform_check(a: float, b: float, x: float) -> float:
     """Absolute residual of the quadratic transformation at (a, b, x):
     |F(a, b; 2a; x) - (1 - x/2)^(-b) F(b/2, (b+1)/2; a + 1/2; (x/(2-x))^2)|."""
-    lhs = hyp2f1(HypSeriesSpec(a, b, 2.0 * a, x)).value
-    y = (x / (2.0 - x)) ** 2
-    rhs = (1.0 - 0.5 * x) ** (-b) * hyp2f1(
-        HypSeriesSpec(0.5 * b, 0.5 * (b + 1.0), a + 0.5, y)
-    ).value
-    return abs(lhs - rhs)
+    return abs(_hyp_base(a, b, x) - _hyp_quad(a, b, x))
 
 
 @dataclass(frozen=True)

@@ -260,6 +260,11 @@ def _one_minus_pow(y: float, yc: float, q: float) -> float:
     return -math.expm1(q * lg)
 
 
+def _one_minus_xp(x: float, p: float) -> float:
+    """1 - x^p for x > 0 without cancellation for x near 1."""
+    return -math.expm1(p * math.log(x))
+
+
 def invert_monotone(
     g: Callable[[float], float],
     target: float,

@@ -166,7 +166,12 @@ def _suite_moments() -> list[CaseResult]:
 
 
 def _suite_nakamura() -> list[CaseResult]:
-    """The product-form series for 1/M_p is term-by-term the base series."""
+    """The product-form series for 1/M_p is term-by-term the base series.
+
+    The ``partials`` cases check that identity independently.  ``nakamura``
+    is an alias of ``hyp_base`` in mean_mp, so the ``full`` cases compare a
+    route with itself; they are kept so the case names and counts stay put.
+    """
     cases = []
     n_terms = 40
     for p in (0.5, 1.5, 3.0):

@@ -7,11 +7,11 @@ and fails with the offending cases listed.
 import math
 import time
 
-from pqelliptic.elliptic import E_pq, K_pq, dE_dk, dK_dk, legendre_residual, moment_sin_pq
+from pqelliptic.elliptic import E_pq, K_pq
 from pqelliptic.gentrig import PQParams, arcsin_pq, cos_pq, pi_pq, sin_pq, tan_pq
 from pqelliptic.cli import main
-from pqelliptic.means import mean_ag, mean_kp, mean_log, mean_mp, quad_transform_check
-from pqelliptic.numerics import integrate_singular
+from pqelliptic.means import mean_ag, mean_kp, mean_log, mean_mp
+from pqelliptic.suites import run_suite
 
 MP_METHODS = ("integral", "elliptic", "hyp_base", "hyp_quad", "nakamura")
 KP_METHODS = ("closed", "integral", "hyp_base", "hyp_quad")
@@ -24,6 +24,17 @@ def report(num, name, bad):
     status = "PASS" if not bad else "FAIL"
     print(f"ACCEPTANCE {num:2d} {name}: {status}")
     assert not bad, bad[:10]
+
+
+def suite_failures(name, count, bound):
+    """Failing cases of a verify suite, plus any departure from its stated
+    case count and per-case bound."""
+    _, cases = run_suite(name)
+    bad = [f"{c.name} residual {c.residual:.2e}" for c in cases if not c.passed]
+    if len(cases) != count:
+        bad.append(f"{len(cases)} cases, expected {count}")
+    bad += [f"{c.name} bound {c.bound:g}, expected {bound:g}" for c in cases if c.bound != bound]
+    return bad
 
 
 def test_c01_classical_degeneration():
@@ -44,12 +55,7 @@ def test_c01_classical_degeneration():
 
 def test_c02_legendre_relation():
     start = time.perf_counter()
-    bad = []
-    for p, q in ((2, 3), (3, 2), (1.5, 4), (4, 1.5), (2.5, 2.5)):
-        for k in (0.0, 0.2, 0.5, 0.8, 0.95):
-            r = abs(legendre_residual(p, q, k))
-            if r > 1e-9:
-                bad.append(f"(p={p}, q={q}, k={k}) residual {r:.2e}")
+    bad = suite_failures("legendre", 25, 1e-9)
     elapsed = time.perf_counter() - start
     if elapsed >= 5.0:
         bad.append(f"runtime {elapsed:.1f} s exceeds 5 s")
@@ -57,37 +63,11 @@ def test_c02_legendre_relation():
 
 
 def test_c03_derivative_system():
-    h = 1e-6
-    bad = []
-    for p, q in ((2, 2), (3, 2), (2, 3)):
-        par = PQParams(p, q)
-        for i in range(1, 10):
-            k = i / 10.0
-            fd = (K_pq(par, k + h).value - K_pq(par, k - h).value) / (2.0 * h)
-            if abs(dK_dk(par, k) - fd) > 1e-5:
-                bad.append(f"dK (p={p}, q={q}, k={k})")
-            fd = (E_pq(par, k + h).value - E_pq(par, k - h).value) / (2.0 * h)
-            if abs(dE_dk(par, k) - fd) > 1e-5:
-                bad.append(f"dE (p={p}, q={q}, k={k})")
-    report(3, "derivative system", bad)
+    report(3, "derivative system", suite_failures("derivatives", 54, 1e-5))
 
 
 def test_c04_moment_formula():
-    bad = []
-    for p, q in ((2, 2), (3, 2), (1.5, 4)):
-        par = PQParams(p, q)
-        inv_q, inv_p = 1.0 / q, 1.0 / p
-        for n in range(6):
-            expo = n + inv_q - 1.0
-
-            def f(t, tc, expo=expo, inv_p=inv_p):
-                return t**expo * tc**-inv_p
-
-            oracle = inv_q * integrate_singular(f, 1e-12, complement=True).value
-            d = abs(moment_sin_pq(par, n) - oracle)
-            if d > 1e-9:
-                bad.append(f"(p={p}, q={q}, n={n}) diff {d:.2e}")
-    report(4, "moment formula", bad)
+    report(4, "moment formula", suite_failures("moments", 18, 1e-9))
 
 
 def test_c05_representation_chain():
@@ -138,13 +118,7 @@ def test_c07_ordering():
 
 
 def test_c08_quadratic_transformation():
-    bad = []
-    for a, b in ((1 / 3, 1 / 3), (1.0, 1 / 3), (0.5, 0.25)):
-        for x in (0.0, 0.2, 0.5, 0.8):
-            r = quad_transform_check(a, b, x)
-            if r > 1e-10:
-                bad.append(f"(a={a:.3g}, b={b:.3g}, x={x}) residual {r:.2e}")
-    report(8, "quadratic transformation", bad)
+    report(8, "quadratic transformation", suite_failures("quadtransform", 12, 1e-10))
 
 
 def test_c09_trig_identities():

@@ -2,8 +2,11 @@
 determinism, and the verify subcommand."""
 
 import math
+import random
 
-from pqelliptic.cli import main
+import pytest
+
+from pqelliptic.cli import GridSpec, main
 from pqelliptic.suites import SUITE_NAMES
 
 
@@ -107,6 +110,23 @@ def test_table_two_axes_row_order(capsys):
     assert len(lines) == 7
     ps = [float(r.split(",")[0]) for r in lines[1:]]
     assert ps == [2.0, 2.0, 2.0, 3.0, 3.0, 3.0]  # first axis outermost
+
+
+def test_grid_points_match_numpy_linspace():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(20)
+    # the README and test grids, 2,000-row grids, tiny and subnormal spans
+    grids = [(0.0, 0.9, 10), (0.1, 3.0, 30), (2.0, 4.0, 3), (0.0, 0.8, 9), (0.0, 0.9, 20),
+             (0.0, 0.9, 25), (2.0, 3.0, 2), (0.0, 0.5, 3)]
+    grids += [(0.0, rng.uniform(0.5, 0.9999), 2000) for _ in range(5)]
+    grids += [(0.3, 0.3 + 1e-12, 7), (0.0, 5e-324, 2), (0.0, 2e-323, 11), (-1e308, 1e308, 5)]
+    for _ in range(300):
+        start = rng.uniform(-100.0, 100.0)
+        grids.append((start, start + 10.0 ** rng.uniform(-12.0, 3.0), rng.randint(2, 300)))
+    for start, stop, count in grids:
+        with np.errstate(all="ignore"):
+            want = [repr(float(v)) for v in np.linspace(start, stop, count)]
+        assert [repr(v) for v in GridSpec(start, stop, count).points()] == want, (start, stop)
 
 
 def test_table_usage_errors(capsys):

@@ -263,12 +263,10 @@ def test_log_mean_hypergeometric_bridge():
 
 
 def test_nakamura_matches_base_series():
+    # nakamura is an alias of hyp_base, so the two agree exactly
     for p in (0.5, 2.0, 3.0):
         for x in (0.2, 0.5, 0.8):
-            d = abs(
-                1.0 / mean_mp(1.0, x, p, "nakamura") - 1.0 / mean_mp(1.0, x, p, "hyp_base")
-            )
-            assert d <= 1e-12, (p, x)
+            assert mean_mp(1.0, x, p, "nakamura") == mean_mp(1.0, x, p, "hyp_base"), (p, x)
 
 
 # ----------------------------------------------------------------- ordering
