@@ -9,14 +9,16 @@ failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import itertools
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, TextIO
 
 from .elliptic import E_pq, K_pq
 from .gentrig import PQParams, cos_pq, pi_pq, sin_pq, tan_pq
-from .means import mean_ag, mean_kp, mean_log, mean_mp, ordering
-from .numerics import ConvergenceError, EvalResult, HypSeriesSpec, hyp2f1
+from .means import _mean_kp, _mean_mp, mean_ag, mean_log, ordering
+from .numerics import ConvergenceError, EvalResult, HypSeriesSpec, _closed_form, hyp2f1
 from .suites import SUITE_NAMES, run_suite
 
 __all__ = ["main"]
@@ -67,8 +69,7 @@ def _need(args: dict, names: tuple[str, ...], fn: str) -> list[float]:
 
 def _eval_closed(fn: Callable, flags: tuple[str, ...], name: str) -> Callable[[dict], EvalResult]:
     def handler(args: dict) -> EvalResult:
-        v = fn(*_need(args, flags, name))
-        return EvalResult(v, 4.0 * sys.float_info.epsilon * abs(v), "closed_form")
+        return _closed_form(fn(*_need(args, flags, name)))
 
     return handler
 
@@ -82,51 +83,26 @@ def _eval_trig(fn: Callable, name: str) -> Callable[[dict], EvalResult]:
     return handler
 
 
-def _eval_elliptic(fn: Callable, name: str) -> Callable[[dict], EvalResult]:
+def _eval_routed(fn: Callable, flags: tuple[str, ...], name: str) -> Callable[[dict], EvalResult]:
+    """Handler for a function with named routes: forwards --method and --tol
+    and returns the function's own result, which names the route that ran."""
+
     def handler(args: dict) -> EvalResult:
-        p, q, k = _need(args, ("p", "q", "k"), name)
         kwargs = {"method": args["method"]} if args.get("method") else {}
         if args.get("tol") is not None:
             kwargs["tol"] = args["tol"]
-        return fn(PQParams(p, q), k, **kwargs)
+        return fn(*_need(args, flags, name), **kwargs)
 
     return handler
 
 
-_METHOD_TAG = {
-    "auto": "series",
-    "hyp_base": "series",
-    "hyp_quad": "series",
-    "nakamura": "series",
-    "elliptic": "quadrature",
-    "integral": "quadrature",
-    "closed": "closed_form",
-}
-
-
-def _eval_mp(args: dict) -> EvalResult:
-    a, b, p = _need(args, ("a", "b", "p"), "Mp")
-    method = args.get("method") or "auto"
-    v = mean_mp(a, b, p, method=method)
-    tag = "closed_form" if p in (0.0, 1.0) or a == b else _METHOD_TAG.get(method, "series")
-    return EvalResult(v, 1e-11 * abs(v), tag)
-
-
-def _eval_kp(args: dict) -> EvalResult:
-    a, b, p = _need(args, ("a", "b", "p"), "Kp")
-    method = args.get("method") or "closed"
-    v = mean_kp(a, b, p, method=method)
-    return EvalResult(v, 1e-11 * abs(v), _METHOD_TAG.get(method, "closed_form"))
-
-
 def _eval_hyp(args: dict) -> EvalResult:
     a, b, c, x = _need(args, ("a", "b", "c", "x"), "hyp2f1")
-    if args.get("tol") is not None:
-        return hyp2f1(HypSeriesSpec(a, b, c, x, rel_tol=args["tol"]))
-    return hyp2f1(HypSeriesSpec(a, b, c, x))
+    tol = {"rel_tol": args["tol"]} if args.get("tol") is not None else {}
+    return hyp2f1(HypSeriesSpec(a, b, c, x, **tol))
 
 
-def _eval_ordering(args: dict) -> EvalResult:
+def _ordering_gap(args: dict) -> float:
     a = args.get("a", 1.0)
     b = args.get("b")
     if b is None:
@@ -134,8 +110,7 @@ def _eval_ordering(args: dict) -> EvalResult:
             raise _UsageError("--fn ordering requires --x (or --a/--b) and --p")
         b = args["x"]
     (p,) = _need(args, ("p",), "ordering")
-    v = ordering(a, b, p)
-    return EvalResult(v.gap, 1e-11 * max(abs(v.gap), 1.0), "closed_form")
+    return ordering(a, b, p).gap
 
 
 _EVAL_FNS: dict[str, Callable[[dict], EvalResult]] = {
@@ -143,17 +118,24 @@ _EVAL_FNS: dict[str, Callable[[dict], EvalResult]] = {
     "sinpq": _eval_trig(sin_pq, "sin_pq"),
     "cospq": _eval_trig(cos_pq, "cos_pq"),
     "tanpq": _eval_trig(tan_pq, "tan_pq"),
-    "kpq": _eval_elliptic(K_pq, "K_pq"),
-    "epq": _eval_elliptic(E_pq, "E_pq"),
+    "kpq": _eval_routed(
+        lambda p, q, k, **kw: K_pq(PQParams(p, q), k, **kw), ("p", "q", "k"), "K_pq"
+    ),
+    "epq": _eval_routed(
+        lambda p, q, k, **kw: E_pq(PQParams(p, q), k, **kw), ("p", "q", "k"), "E_pq"
+    ),
     "l": _eval_closed(mean_log, ("a", "b"), "L"),
     "ag": _eval_closed(mean_ag, ("a", "b"), "AG"),
-    "mp": _eval_mp,
-    "kp": _eval_kp,
+    "mp": _eval_routed(_mean_mp, ("a", "b", "p"), "Mp"),
+    "kp": _eval_routed(_mean_kp, ("a", "b", "p"), "Kp"),
     "hyp2f1": _eval_hyp,
 }
 
-# ordering tabulates the signed gap M_p - K_p; it is table-only
-_TABLE_FNS = dict(_EVAL_FNS, ordering=_eval_ordering)
+# a table cell is a handler's value; ordering's is the gap M_p - K_p (table-only)
+_TABLE_FNS: dict[str, Callable[[dict], float]] = {
+    **{fn: lambda args, h=h: h(args).value for fn, h in _EVAL_FNS.items()},
+    "ordering": _ordering_gap,
+}
 
 
 def _canon(fn: str) -> str:
@@ -170,6 +152,8 @@ def _parse_axis(flag: str, text: str) -> float | GridSpec:
             count = int(parts[2])
         except ValueError:
             raise _UsageError(f"--{flag}: cannot parse grid {text!r}") from None
+        if not math.isfinite(stop - start):
+            raise _UsageError(f"--{flag}: grid span {text!r} is not finite")
         return GridSpec(start, stop, count)
     try:
         return float(text)
@@ -193,8 +177,8 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
 
 def _cmd_table(ns: argparse.Namespace) -> int:
     fn = _canon(ns.fn)
-    handler = _TABLE_FNS.get(fn)
-    if handler is None:
+    value_of = _TABLE_FNS.get(fn)
+    if value_of is None:
         raise _UsageError(f"unknown function {ns.fn!r}")
     fixed: dict = {"method": ns.method, "tol": ns.tol}
     axes: list[tuple[str, list[float]]] = []
@@ -212,22 +196,13 @@ def _cmd_table(ns: argparse.Namespace) -> int:
     if len(axes) > 2:
         raise _UsageError(f"table supports at most 2 grid axes, got {len(axes)}")
 
-    rows: list[list[float]] = []
-    if len(axes) == 1:
-        name0, pts0 = axes[0]
-        for v0 in pts0:
-            r = handler({**fixed, name0: v0})
-            rows.append([v0, r.value])
-        header = [name0, "value"]
-    else:
-        (name0, pts0), (name1, pts1) = axes
-        for v0 in pts0:
-            for v1 in pts1:
-                r = handler({**fixed, name0: v0, name1: v1})
-                rows.append([v0, v1, r.value])
-        header = [name0, name1, "value"]
+    names = [name for name, _ in axes]
+    rows = [
+        [*point, value_of({**fixed, **dict(zip(names, point))})]
+        for point in itertools.product(*(pts for _, pts in axes))
+    ]
 
-    lines = [",".join(header)]
+    lines = [",".join(names + ["value"])]
     lines.extend(",".join(f"{v:.17g}" for v in row) for row in rows)
     text = "\n".join(lines) + "\n"
     if ns.out:

@@ -10,7 +10,6 @@ differential system in k, and a Legendre-type product relation ties the
 from __future__ import annotations
 
 import math
-import sys
 
 from .gentrig import PQParams, pi_pq
 from .numerics import (
@@ -18,6 +17,7 @@ from .numerics import (
     EvalResult,
     HypSeriesSpec,
     _one_minus_pow,
+    _rounding_err,
     hyp2f1,
     integrate_singular,
     pochhammer,
@@ -47,9 +47,7 @@ def _complete(
         half = 0.5 * pi_pq(params)
         r = hyp2f1(HypSeriesSpec(a, 1.0 / params.q, 1.0 / params.p_star + 1.0 / params.q, kq))
         value = half * r.value
-        return EvalResult(
-            value, half * r.abs_err + 4.0 * sys.float_info.epsilon * abs(value), "series"
-        )
+        return EvalResult(value, half * r.abs_err + _rounding_err(value), "series")
     if method == "quadrature":
         q = params.q
         kc = 1.0 - k

@@ -85,25 +85,23 @@ def sin_pq(params: PQParams, theta: float, tol: float = 1e-12) -> float:
     return invert_monotone(lambda x: arcsin_pq(params, x), theta, 0.0, 1.0, tol)
 
 
-def cos_pq(params: PQParams, theta: float) -> float:
-    """cos_pq = (1 - sin_pq^q)^(1/q) on [0, pi_pq/2]; equals 1 at theta = 0."""
-    s = sin_pq(params, theta)
+def _cos_from_sin(s: float, q: float) -> float:
+    """(1 - s^q)^(1/q) for s = sin_pq theta in [0, 1], exact at both ends."""
     if s == 0.0:
         return 1.0
     if s == 1.0:
         return 0.0
-    return _one_minus_xp(s, params.q) ** (1.0 / params.q)
+    return _one_minus_xp(s, q) ** (1.0 / q)
+
+
+def cos_pq(params: PQParams, theta: float) -> float:
+    """cos_pq = (1 - sin_pq^q)^(1/q) on [0, pi_pq/2]; equals 1 at theta = 0."""
+    return _cos_from_sin(sin_pq(params, theta), params.q)
 
 
 def tan_pq(params: PQParams, theta: float) -> float:
-    """tan_pq = sin_pq / cos_pq on [0, pi_pq/2); diverges at the half-period."""
-    half = 0.5 * pi_pq(params)
-    if not 0.0 <= theta <= half:
-        raise ValueError(f"theta must lie in [0, {half:.17g}], got {theta!r}")
-    if theta == half:
-        raise ValueError("tan_pq diverges at theta = pi_pq/2")
+    """tan_pq = sin_pq / cos_pq on [0, pi_pq/2); diverges where sin_pq is 1."""
     s = sin_pq(params, theta)
     if s == 1.0:
         raise ValueError("tan_pq diverges at theta = pi_pq/2")
-    c = _one_minus_xp(s, params.q) ** (1.0 / params.q) if s > 0.0 else 1.0
-    return s / c
+    return s / _cos_from_sin(s, params.q)

@@ -12,7 +12,8 @@ Comparing the third parameters of the transformed series decides the strict
 ordering between M_p and K_p on either side of p = 1.
 
 Every representation computes the reciprocal 1/mean(1, x) on the normalized
-pair first and rescales at the very end.
+pair first and rescales at the very end.  Only this module decides a mean's
+route; ``_mean_mp`` and ``_mean_kp`` report the route that ran.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from .elliptic import K_pq
 from .gentrig import PQParams, pi_pq
 from .numerics import (
     SERIES_ARG_MAX,
+    EvalResult,
     HypSeriesSpec,
+    _closed_form,
     _one_minus_xp,
     beta,
     hyp2f1,
@@ -54,6 +57,12 @@ _KP_METHODS = ("closed", "integral", "hyp_base", "hyp_quad")
 def _check_pair(a: float, b: float) -> None:
     if not (a > 0.0 and b > 0.0 and math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"means require a positive finite pair, got ({a!r}, {b!r})")
+
+
+def _check_args(a: float, b: float, p: float, fn: str) -> None:
+    _check_pair(a, b)
+    if not math.isfinite(p):
+        raise ValueError(f"{fn} requires a finite p, got {p!r}")
 
 
 def _normalized(a: float, b: float) -> tuple[float, float]:
@@ -99,7 +108,18 @@ def c_p(p: float) -> float:
     return p / beta(1.0 / p, 1.0 / p)
 
 
-def _recip_mp_integral(x: float, p: float, tol: float) -> float:
+def _scaled(factor: float, r: EvalResult) -> EvalResult:
+    """factor * r for a positive factor, with the error and route carried."""
+    return EvalResult(factor * r.value, factor * r.abs_err, r.method)
+
+
+def _over(scale: float, recip: EvalResult) -> EvalResult:
+    """scale / recip, with the relative error of recip carried through."""
+    value = scale / recip.value
+    return EvalResult(value, value * recip.abs_err / recip.value, recip.method)
+
+
+def _recip_mp_integral(x: float, p: float, tol: float) -> EvalResult:
     """1/M_p(1, x) as c_p times the half-line integral of
     ((t^p + 1)(t^p + x^p))^(-1/p)."""
     xp = x**p
@@ -114,10 +134,10 @@ def _recip_mp_integral(x: float, p: float, tol: float) -> float:
         sp = s**p
         return s * s * ((1.0 + sp) * (1.0 + xp * sp)) ** -inv_p
 
-    return c_p(p) * integrate_halfline(f, tol).value
+    return _scaled(c_p(p), integrate_halfline(f, tol))
 
 
-def _recip_kp_integral(x: float, p: float, tol: float) -> float:
+def _recip_kp_integral(x: float, p: float, tol: float) -> EvalResult:
     """1/K_p(1, x) = integral_0^1 ((1-s) + x^p s)^(-1/p) ds."""
     xp = x**p
     neg_inv_p = -1.0 / p
@@ -125,12 +145,12 @@ def _recip_kp_integral(x: float, p: float, tol: float) -> float:
     def f(s: float, sc: float) -> float:
         return (sc + xp * s) ** neg_inv_p
 
-    return integrate_singular(f, tol, complement=True).value
+    return integrate_singular(f, tol, complement=True)
 
 
-def _hyp_base(a: float, b: float, z: float) -> float:
+def _hyp_base(a: float, b: float, z: float) -> EvalResult:
     """F(a, b; 2a; z) by the direct series."""
-    return hyp2f1(HypSeriesSpec(a, b, 2.0 * a, z)).value
+    return hyp2f1(HypSeriesSpec(a, b, 2.0 * a, z))
 
 
 def _quad_arg(z: float) -> float:
@@ -138,14 +158,15 @@ def _quad_arg(z: float) -> float:
     return (z / (2.0 - z)) ** 2
 
 
-def _hyp_quad(a: float, b: float, z: float) -> float:
+def _hyp_quad(a: float, b: float, z: float) -> EvalResult:
     """F(a, b; 2a; z) by the quadratic transformation of the module docstring."""
-    return (1.0 - 0.5 * z) ** (-b) * hyp2f1(
-        HypSeriesSpec(0.5 * b, 0.5 * (b + 1.0), a + 0.5, _quad_arg(z))
-    ).value
+    return _scaled(
+        (1.0 - 0.5 * z) ** (-b),
+        hyp2f1(HypSeriesSpec(0.5 * b, 0.5 * (b + 1.0), a + 0.5, _quad_arg(z))),
+    )
 
 
-def _recip(x: float, p: float, a: float, method: str, integral: Callable, tol: float) -> float:
+def _recip(x: float, p: float, a: float, method: str, integral: Callable, tol: float) -> EvalResult:
     """1/mean(1, x) = F(a, 1/p; 2a; 1 - x^p), with a = 1/p for M_p and a = 1
     for K_p, by the named series route or by the mean's ``integral``.
 
@@ -164,8 +185,31 @@ def _recip(x: float, p: float, a: float, method: str, integral: Callable, tol: f
     return series(a, 1.0 / p, z)
 
 
+def _mean_mp(a: float, b: float, p: float, method: str = "auto", tol: float = 1e-12) -> EvalResult:
+    """M_p(a, b) with the route that ran and its error; see ``mean_mp``."""
+    _check_args(a, b, p, "mean_mp")
+    if method not in _MP_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {_MP_METHODS}")
+    if not p >= 0.0:
+        raise ValueError(f"mean_mp requires p >= 0, got {p!r}")
+    if a == b:
+        return _closed_form(a)  # exact fixed point for every p
+    if p <= _LIMIT_TOL:
+        return _closed_form(math.sqrt(a * b))
+    if p == 1.0:
+        return _closed_form(mean_log(a, b))
+    scale, x = _normalized(a, b)
+    if x == 1.0:  # distinct pair whose ratio still rounds to 1
+        return _closed_form(scale)
+    if method == "elliptic":
+        par = PQParams(p / (p - 1.0), p)
+        k = _one_minus_xp(x, p) ** (1.0 / p)
+        return _over(scale, _scaled(2.0 / pi_pq(par), K_pq(par, k, tol=tol)))
+    return _over(scale, _recip(x, p, 1.0 / p, method, _recip_mp_integral, tol))
+
+
 def mean_mp(a: float, b: float, p: float, method: str = "auto", tol: float = 1e-12) -> float:
-    """Interpolating mean M_p for p >= 0.
+    """Interpolating mean M_p for finite p >= 0.
 
     p = 0 gives sqrt(ab) and p = 1 the logarithmic mean, both as stated
     limits; elsewhere the pair is normalized to (1, x), the reciprocal
@@ -174,61 +218,54 @@ def mean_mp(a: float, b: float, p: float, method: str = "auto", tol: float = 1e-
     ``hyp_base`` and ``hyp_quad``; ``nakamura`` (the product-form series) is
     an alias of ``hyp_base``, whose terms it equals.  Series representations
     whose argument exceeds 0.99 fall back to the half-line integral.
+    ``_mean_mp`` also returns the kind of route that actually ran
+    (``quadrature`` after a fallback) and the kernel's own error estimate.
     """
-    _check_pair(a, b)
-    if method not in _MP_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {_MP_METHODS}")
-    if not p >= 0.0:
-        raise ValueError(f"mean_mp requires p >= 0, got {p!r}")
-    if a == b:
-        return a  # exact fixed point for every p, no representation evaluated
-    if p <= _LIMIT_TOL:
-        return math.sqrt(a * b)
-    if p == 1.0:
-        return mean_log(a, b)
-    scale, x = _normalized(a, b)
-    if x == 1.0:  # distinct pair whose ratio still rounds to 1
-        return scale
-    if method == "elliptic":
-        par = PQParams(p / (p - 1.0), p)
-        k = _one_minus_xp(x, p) ** (1.0 / p)
-        return scale / (2.0 / pi_pq(par) * K_pq(par, k, tol=tol).value)
-    return scale / _recip(x, p, 1.0 / p, method, _recip_mp_integral, tol)
+    return _mean_mp(a, b, p, method, tol).value
 
 
-def mean_kp(a: float, b: float, p: float, method: str = "closed", tol: float = 1e-12) -> float:
-    """Power-difference mean K_p = ((p-1)/p) (a^p - b^p) / (a^(p-1) - b^(p-1)).
-
-    The closed form is valid for every real p, with the stated limits
-    K_0 = ab/L(a, b) and K_1 = L(a, b) taking over within 1e-8 of the
-    removable points.  The integral and hypergeometric representations
-    require p > 0.
-    """
-    _check_pair(a, b)
+def _mean_kp(
+    a: float, b: float, p: float, method: str = "closed", tol: float = 1e-12
+) -> EvalResult:
+    """K_p(a, b) with the route that ran and its error; see ``mean_kp``."""
+    _check_args(a, b, p, "mean_kp")
     if method not in _KP_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {_KP_METHODS}")
     if method != "closed" and not p > 0.0:
         raise ValueError(f"the {method} representation requires p > 0, got {p!r}")
     if a == b:
-        return a  # exact fixed point for every p, no representation evaluated
+        return _closed_form(a)  # exact fixed point for every p
     if abs(p) <= _LIMIT_TOL:
-        return a * b / mean_log(a, b)
+        return _closed_form(a * b / mean_log(a, b))
     if abs(p - 1.0) <= _LIMIT_TOL:
-        return mean_log(a, b)
+        return _closed_form(mean_log(a, b))
     scale, x = _normalized(a, b)
     if x == 1.0:  # distinct pair whose ratio still rounds to 1
-        return scale
+        return _closed_form(scale)
     if method == "closed":
         num = _one_minus_xp(x, p)
         den = _one_minus_xp(x, p - 1.0)
-        return scale * ((p - 1.0) / p) * (num / den)
-    return scale / _recip(x, p, 1.0, method, _recip_kp_integral, tol)
+        return _closed_form(scale * ((p - 1.0) / p) * (num / den))
+    return _over(scale, _recip(x, p, 1.0, method, _recip_kp_integral, tol))
+
+
+def mean_kp(a: float, b: float, p: float, method: str = "closed", tol: float = 1e-12) -> float:
+    """Power-difference mean K_p = ((p-1)/p) (a^p - b^p) / (a^(p-1) - b^(p-1)).
+
+    The closed form is valid for every finite real p, with the stated limits
+    K_0 = ab/L(a, b) and K_1 = L(a, b) taking over within 1e-8 of the
+    removable points.  The integral and hypergeometric representations
+    require p > 0.
+    ``_mean_kp`` also returns the kind of route that actually ran
+    (``quadrature`` after a fallback) and the kernel's own error estimate.
+    """
+    return _mean_kp(a, b, p, method, tol).value
 
 
 def quad_transform_check(a: float, b: float, x: float) -> float:
     """Absolute residual of the quadratic transformation at (a, b, x):
     |F(a, b; 2a; x) - (1 - x/2)^(-b) F(b/2, (b+1)/2; a + 1/2; (x/(2-x))^2)|."""
-    return abs(_hyp_base(a, b, x) - _hyp_quad(a, b, x))
+    return abs(_hyp_base(a, b, x).value - _hyp_quad(a, b, x).value)
 
 
 @dataclass(frozen=True)
@@ -250,7 +287,7 @@ def ordering(a: float, b: float, p: float) -> MeanOrdering:
     1e-12 * max(a, b) are reported as equal since both means are computed to
     roughly that accuracy.
     """
-    _check_pair(a, b)
+    _check_args(a, b, p, "ordering")
     if not p >= 0.0:
         raise ValueError(f"ordering requires p >= 0, got {p!r}")
     if a == b:

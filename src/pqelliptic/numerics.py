@@ -10,6 +10,7 @@ nodes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -53,6 +54,16 @@ class EvalResult:
             raise ValueError(f"non-finite value {self.value!r}")
         if not (math.isfinite(self.abs_err) and self.abs_err >= 0.0):
             raise ValueError(f"invalid error estimate {self.abs_err!r}")
+
+
+def _rounding_err(value: float) -> float:
+    """4 eps |value|, the rounding error of a few correctly rounded steps."""
+    return 4.0 * sys.float_info.epsilon * abs(value)
+
+
+def _closed_form(value: float) -> EvalResult:
+    """A value computed by a closed form, carrying only its rounding error."""
+    return EvalResult(value, _rounding_err(value), "closed_form")
 
 
 def log_gamma(x: float) -> float:
@@ -192,7 +203,7 @@ def _integrate_unit(f2: Callable[[float, float], float], tol: float) -> EvalResu
         value = math.fsum(terms) / (1 << level)
         diff = abs(value - prev)
         if level >= _MIN_LEVEL and diff <= tol:
-            return EvalResult(value, diff, "quadrature")
+            return EvalResult(value, max(diff, _rounding_err(value)), "quadrature")
         prev = value
     raise ConvergenceError(
         f"quadrature did not reach tol={tol:g} within {_LEVEL_CAP} refinement "
@@ -207,8 +218,8 @@ def integrate_singular(
 
     Handles algebraic endpoint singularities of exponent > -1.  The integrand
     is never evaluated at exactly 0 or 1.  The error estimate is the last
-    level-to-level difference; failure to meet ``tol`` within the level cap
-    raises ConvergenceError.
+    level-to-level difference, never less than 4 eps |value|; failure to meet
+    ``tol`` within the level cap raises ConvergenceError.
 
     With ``complement=False`` the integrand is called as ``f(t)``.  Doubles
     cannot represent points closer to 1 than about 1.1e-16, so a strong

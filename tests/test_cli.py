@@ -52,6 +52,37 @@ def test_eval_trig_and_means(capsys):
     assert abs(value_of(capsys) - 2.0 * math.log(2.0)) <= 1e-12
 
 
+def _eval_fields(capsys, args):
+    assert main(["eval"] + args) == 0
+    value, abs_err, method = capsys.readouterr().out.split()
+    return float(value), abs_err, method
+
+
+def test_eval_mean_prints_route_that_ran(capsys):
+    cases = [
+        (["--b", "0.001", "--p", "3", "--method", "hyp_base"], "quadrature"),  # past 0.99
+        (["--b", "0.5", "--p", "1e-9"], "closed_form"),  # the p -> 0 limit
+        (["--b", "0.5", "--p", "3", "--method", "elliptic"], "series"),  # K_pq series
+        (["--b", "1e-5", "--p", "2"], "quadrature"),  # auto past 0.99
+    ]
+    for args, method in cases:
+        _, abs_err, printed = _eval_fields(capsys, ["--fn", "Mp", "--a", "1"] + args)
+        assert printed == f"method={method}", args
+        assert abs_err != "abs_err=0.00e+00", args
+    assert _eval_fields(capsys, ["--fn", "Kp", "--a", "1", "--b", "0.5", "--p", "3"])[2] == (
+        "method=closed_form"
+    )
+
+
+def test_eval_mean_honours_tol(capsys):
+    args = ["--fn", "Mp", "--a", "1", "--b", "0.3", "--p", "3", "--method", "integral"]
+    v, default_err, _ = _eval_fields(capsys, args)
+    v_loose, loose_err, method = _eval_fields(capsys, args + ["--tol", "1e-4"])
+    assert loose_err != default_err
+    assert method == "method=quadrature"
+    assert abs(v_loose - v) <= 1e-4
+
+
 def test_eval_usage_errors(capsys):
     assert main(["eval", "--fn", "nosuch", "--p", "2"]) == 2
     assert main(["eval", "--fn", "Kpq", "--p", "2"]) == 2  # missing --q, --k
@@ -136,7 +167,9 @@ def test_table_usage_errors(capsys):
         main(["table", "--fn", "Kpq", "--p", "2:3:2", "--q", "2:3:2", "--k", "0:0.5:2"]) == 2
     )  # three axes
     assert main(["table", "--fn", "Kpq", "--p", "2", "--q", "2", "--k", "0.9:0:5"]) == 2
-    capsys.readouterr()
+    # the span stop - start overflows to inf
+    assert main(["table", "--fn", "ordering", "--x", "0.5", "--p=-1e308:1e308:3"]) == 2
+    assert "usage error" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- verify

@@ -140,8 +140,12 @@ def test_tan_values():
 
 def test_tan_range_error_at_half_period():
     for par in (PQParams(2, 2), PQParams(3, 2)):
-        with pytest.raises(ValueError):
-            tan_pq(par, 0.5 * pi_pq(par))
+        half = 0.5 * pi_pq(par)
+        with pytest.raises(ValueError, match=r"^tan_pq diverges at theta = pi_pq/2$"):
+            tan_pq(par, half)
+        for theta in (-0.1, 1.01 * half, math.nan):  # sin_pq's range check and message
+            with pytest.raises(ValueError, match=r"^theta must lie in \[0, "):
+                tan_pq(par, theta)
 
 
 def test_pythagorean_identity_grid():

@@ -3,11 +3,13 @@ normalizing constant, agreement of every representation of M_p and K_p, the
 binary-mean axioms, and the ordering across p = 1."""
 
 import math
+import sys
 
 import pytest
 
 from pqelliptic.means import (
     MeanOrdering,
+    _mean_mp,
     c_p,
     mean_ag,
     mean_kp,
@@ -136,6 +138,31 @@ def test_mp_domain_and_method_validation():
         mean_mp(1.0, 0.5, 2.0, "magic")
 
 
+def test_mp_nonfinite_p_rejected():
+    for p in (math.inf, -math.inf, math.nan):
+        for method in ("auto",) + MP_METHODS:
+            for a, b in ((1.0, 0.5), (2.0, 2.0)):
+                with pytest.raises(ValueError, match="^mean_mp requires a finite p"):
+                    mean_mp(a, b, p, method)
+
+
+def test_mp_result_names_the_route_that_ran():
+    # tests/test_cli.py checks the fallback, limit and elliptic labels end to end
+    assert _mean_mp(1.0, 0.5, 3.0, "hyp_quad").method == "series"
+    assert _mean_mp(1.0, 0.5, 3.0, "integral").method == "quadrature"
+    for method in ("auto",) + MP_METHODS:
+        r = _mean_mp(1.0, 0.3, 2.5, method)
+        assert r.value == mean_mp(1.0, 0.3, 2.5, method)
+        assert 0.0 < r.abs_err <= 1e-12 * r.value, (method, r)
+
+
+def test_mp_quadrature_error_never_below_rounding():
+    # two quadrature levels agree exactly here; the floor 4 eps |value| holds
+    r = _mean_mp(1.0, 1e-5, 2.0)
+    assert r.method == "quadrature"
+    assert r.abs_err >= 4.0 * sys.float_info.epsilon * r.value
+
+
 # ------------------------------------------------------------------ mean_kp
 
 
@@ -172,6 +199,15 @@ def test_kp_validation():
         mean_kp(1.0, 2.0, -1.0, "integral")  # integral form needs p > 0
     with pytest.raises(ValueError):
         mean_kp(1.0, 2.0, 2.0, "magic")
+
+
+def test_kp_nonfinite_p_rejected():
+    # the closed form alone used to return nan at p = +-inf
+    for p in (math.inf, -math.inf, math.nan):
+        for method in KP_METHODS:
+            for a, b in ((1.0, 0.5), (2.0, 2.0)):
+                with pytest.raises(ValueError, match="^mean_kp requires a finite p"):
+                    mean_kp(a, b, p, method)
 
 
 # ------------------------------------------------------- binary mean axioms
@@ -298,3 +334,7 @@ def test_ordering_domain():
         ordering(1.0, 0.5, -1.0)
     with pytest.raises(ValueError):
         ordering(0.0, 0.5, 2.0)
+    for p in (math.inf, -math.inf, math.nan):
+        for a, b in ((1.0, 0.5), (2.0, 2.0)):
+            with pytest.raises(ValueError, match="^ordering requires a finite p"):
+                ordering(a, b, p)
