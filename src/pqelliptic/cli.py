@@ -19,7 +19,7 @@ from .elliptic import E_pq, K_pq
 from .gentrig import PQParams, cos_pq, pi_pq, sin_pq, tan_pq
 from .means import _mean_kp, _mean_mp, mean_ag, mean_log, ordering
 from .numerics import ConvergenceError, EvalResult, HypSeriesSpec, _closed_form, hyp2f1
-from .suites import SUITE_NAMES, run_suite
+from .suites import _SUITES, SUITE_NAMES, run_suite
 
 __all__ = ["main"]
 
@@ -83,23 +83,18 @@ def _eval_trig(fn: Callable, name: str) -> Callable[[dict], EvalResult]:
     return handler
 
 
-def _eval_routed(fn: Callable, flags: tuple[str, ...], name: str) -> Callable[[dict], EvalResult]:
-    """Handler for a function with named routes: forwards --method and --tol
-    and returns the function's own result, which names the route that ran."""
+def _eval_routed(
+    fn: Callable, flags: tuple[str, ...], name: str, options: tuple[str, ...] = ("method", "tol")
+) -> Callable[[dict], EvalResult]:
+    """Handler that forwards the ``options`` (--method, --tol) given on the
+    command line and returns fn's own result, which names the route that ran."""
 
     def handler(args: dict) -> EvalResult:
-        kwargs = {"method": args["method"]} if args.get("method") else {}
-        if args.get("tol") is not None:
-            kwargs["tol"] = args["tol"]
+        kwargs = {o: args[o] for o in options if args.get(o) not in (None, "")}
         return fn(*_need(args, flags, name), **kwargs)
 
+    handler.options = options
     return handler
-
-
-def _eval_hyp(args: dict) -> EvalResult:
-    a, b, c, x = _need(args, ("a", "b", "c", "x"), "hyp2f1")
-    tol = {"rel_tol": args["tol"]} if args.get("tol") is not None else {}
-    return hyp2f1(HypSeriesSpec(a, b, c, x, **tol))
 
 
 def _ordering_gap(args: dict) -> float:
@@ -128,7 +123,10 @@ _EVAL_FNS: dict[str, Callable[[dict], EvalResult]] = {
     "ag": _eval_closed(mean_ag, ("a", "b"), "AG"),
     "mp": _eval_routed(_mean_mp, ("a", "b", "p"), "Mp"),
     "kp": _eval_routed(_mean_kp, ("a", "b", "p"), "Kp"),
-    "hyp2f1": _eval_hyp,
+    "hyp2f1": _eval_routed(
+        lambda a, b, c, x, tol=HypSeriesSpec.rel_tol: hyp2f1(HypSeriesSpec(a, b, c, x, tol)),
+        ("a", "b", "c", "x"), "hyp2f1", ("tol",),
+    ),
 }
 
 # a table cell is a handler's value; ordering's is the gap M_p - K_p (table-only)
@@ -140,6 +138,14 @@ _TABLE_FNS: dict[str, Callable[[dict], float]] = {
 
 def _canon(fn: str) -> str:
     return fn.lower().replace("_", "").replace("-", "")
+
+
+def _check_options(ns: argparse.Namespace, fn: str) -> None:
+    """--method and --tol are usage errors where the handler would ignore them."""
+    accepted = getattr(_EVAL_FNS.get(fn), "options", ())
+    for opt in ("method", "tol"):
+        if getattr(ns, opt) is not None and opt not in accepted:
+            raise _UsageError(f"--{opt} does not apply to --fn {ns.fn}")
 
 
 def _parse_axis(flag: str, text: str) -> float | GridSpec:
@@ -167,9 +173,8 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     if handler is None:
         raise _UsageError(f"unknown function {ns.fn!r}; expected one of "
                           "pi_pq sin_pq cos_pq tan_pq K_pq E_pq L AG Mp Kp hyp2f1")
-    args = {f: getattr(ns, f) for f in _AXIS_FLAGS}
-    args["method"] = ns.method
-    args["tol"] = ns.tol
+    _check_options(ns, fn)
+    args = {f: getattr(ns, f) for f in (*_AXIS_FLAGS, "method", "tol")}
     r = handler(args)
     print(f"{r.value:.15g}  abs_err={r.abs_err:.2e}  method={r.method}")
     return 0
@@ -180,6 +185,7 @@ def _cmd_table(ns: argparse.Namespace) -> int:
     value_of = _TABLE_FNS.get(fn)
     if value_of is None:
         raise _UsageError(f"unknown function {ns.fn!r}")
+    _check_options(ns, fn)
     fixed: dict = {"method": ns.method, "tol": ns.tol}
     axes: list[tuple[str, list[float]]] = []
     for flag in _AXIS_FLAGS:
@@ -278,24 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify",
         help="run a named verification suite: " + ", ".join(SUITE_NAMES) + ", or all",
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=(
-            "suites and their built-in grids:\n"
-            "  legendre       (p,q) in {(2,3),(3,2),(1.5,4),(4,1.5),(2.5,2.5)} x\n"
-            "                 k in {0,0.2,0.5,0.8,0.95}, residual bound 1e-9\n"
-            "  derivatives    (p,q) in {(2,2),(3,2),(2,3)} x k in {0.1..0.9},\n"
-            "                 closed forms vs central differences, bound 1e-5\n"
-            "  hypergeo       (p,q) in {(2,2),(3,2),(2,3),(1.5,4)} x k in {0..0.9},\n"
-            "                 series vs quadrature for K and E, bound 1e-10\n"
-            "  quadtransform  (a,b) in {(1/3,1/3),(1,1/3),(1/2,1/4)} x x in\n"
-            "                 {0,0.2,0.5,0.8}, bound 1e-10\n"
-            "  means-ordering p in {0.25,0.5,0.75,1.5,2,3,5} x x in {0.05..0.99},\n"
-            "                 strict sign of M_p - K_p, plus the p in {0,1} anchors\n"
-            "  means-bridge   M_2 = AG on x in {0.01,0.1..0.9} (1e-10) and the\n"
-            "                 L-mean identities at p in {0,1,2} (1e-12)\n"
-            "  moments        (p,q) in {(2,2),(3,2),(1.5,4)} x n in {0..5},\n"
-            "                 closed form vs beta integral, bound 1e-9\n"
-            "  nakamura       p in {0.5,1.5,3} x x in {0.2,0.5,0.8}, equal-truncation\n"
-            "                 partial sums (1e-12) and full values (1e-10)\n"
+        epilog="suites:\n" + "".join(
+            f"  {name:<15}{_SUITES[name].__doc__.splitlines()[0]}\n" for name in SUITE_NAMES
         ),
     )
     pv.add_argument("suite", nargs="?", default="all")
@@ -315,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ConvergenceError) as exc:
+    except (ValueError, ArithmeticError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,6 +17,7 @@ from .numerics import (
     EvalResult,
     HypSeriesSpec,
     _one_minus_pow,
+    _pow_pair,
     _rounding_err,
     hyp2f1,
     integrate_singular,
@@ -36,26 +37,25 @@ def _complete(
 ) -> EvalResult:
     """Shared body of K_pq and E_pq, which differ only in three exponents:
     the series (pi_pq/2) F(a, 1/q; 1/p* + 1/q; k^q) and the quadrature of
-    integral_0^1 (1 - t^q)^t_exp (1 - k^q t^q)^kt_exp dt."""
+    integral_0^1 (1 - t^q)^t_exp (1 - k^q t^q)^kt_exp dt.  Both see k only
+    through m = k^q, whose complement comes from ``_pow_pair``."""
     _check_modulus(k)
-    kq = k ** params.q
+    m, mc = _pow_pair(k, params.q)
     if method == "auto":
-        method = "series" if kq <= SERIES_ARG_MAX else "quadrature"
+        method = "series" if m <= SERIES_ARG_MAX else "quadrature"
     if method == "series":
-        if kq > SERIES_ARG_MAX:
-            raise ValueError(f"series route requires k^q <= {SERIES_ARG_MAX}, got {kq:g}")
+        if m > SERIES_ARG_MAX:
+            raise ValueError(f"series route requires k^q <= {SERIES_ARG_MAX}, got {m:g}")
         half = 0.5 * pi_pq(params)
-        r = hyp2f1(HypSeriesSpec(a, 1.0 / params.q, 1.0 / params.p_star + 1.0 / params.q, kq))
+        r = hyp2f1(HypSeriesSpec(a, 1.0 / params.q, 1.0 / params.p_star + 1.0 / params.q, m))
         value = half * r.value
         return EvalResult(value, half * r.abs_err + _rounding_err(value), "series")
     if method == "quadrature":
         q = params.q
-        kc = 1.0 - k
 
         def integrand(t: float, tc: float) -> float:
             omt = _one_minus_pow(t, tc, q)
-            omkt = _one_minus_pow(k * t, kc + k * tc, q)
-            return omt**t_exp * omkt**kt_exp
+            return omt**t_exp * (mc + m * omt) ** kt_exp
 
         return integrate_singular(integrand, tol, complement=True)
     raise ValueError(f"unknown method {method!r}; expected auto, series, or quadrature")
@@ -68,7 +68,8 @@ def K_pq(params: PQParams, k: float, method: str = "auto", tol: float = 1e-12) -
     integral_0^1 (1 - t^q)^(-1/p) (1 - k^q t^q)^(-1/p*) dt.  ``auto`` takes
     the series while k^q <= 0.99 and the integral beyond, where the series
     nears its logarithmic singularity.  K equals pi_pq/2 at k = 0 and grows
-    without bound as k -> 1.
+    without bound as k -> 1.  ``tol`` is the quadrature tolerance; the series
+    keeps hyp2f1's fixed stopping rule.
     """
     inv_ps = 1.0 / params.p_star
     return _complete(params, k, method, tol, inv_ps, -1.0 / params.p, -inv_ps)
@@ -79,7 +80,7 @@ def E_pq(params: PQParams, k: float, method: str = "auto", tol: float = 1e-12) -
 
     Series route: (pi_pq/2) F(-1/p, 1/q; 1/p* + 1/q; k^q).  Quadrature route:
     integral_0^1 ((1 - k^q t^q) / (1 - t^q))^(1/p) dt.  E equals pi_pq/2 at
-    k = 0 and tends to 1 as k -> 1.
+    k = 0 and tends to 1 as k -> 1.  ``tol`` is as for K_pq.
     """
     inv_p = 1.0 / params.p
     return _complete(params, k, method, tol, -inv_p, -inv_p, inv_p)
@@ -96,10 +97,8 @@ def dK_dk(params: PQParams, k: float) -> float:
         if params.q > 1.0:
             return 0.0
         raise ValueError("dK_dk at k = 0 requires q > 1")
-    kq = k ** params.q
-    kc = K_pq(params, k).value
-    ec = E_pq(params, k).value
-    return (ec - (1.0 - kq) * kc) / (k * (1.0 - kq))
+    mc = _pow_pair(k, params.q)[1]
+    return (E_pq(params, k).value - mc * K_pq(params, k).value) / (k * mc)
 
 
 def dE_dk(params: PQParams, k: float) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .numerics import _one_minus_pow, _one_minus_xp, beta, integrate_singular, invert_monotone
+from .numerics import _one_minus_pow, _pow_pair, beta, integrate_singular, invert_monotone
 
 __all__ = ["PQParams", "arcsin_pq", "cos_pq", "pi_pq", "sin_pq", "tan_pq"]
 
@@ -58,13 +58,11 @@ def arcsin_pq(params: PQParams, x: float, tol: float = 1e-13) -> float:
         return 0.0
     q = params.q
     neg_inv_p = -1.0 / params.p
-    xc = 1.0 - x
+    m, mc = _pow_pair(x, q)
 
     def integrand(s: float, sc: float) -> float:
-        # rescaled variable y = x s with exact complement (1-x) + x (1-s)
-        y = x * s
-        yc = xc + x * sc
-        return _one_minus_pow(y, yc, q) ** neg_inv_p
+        # t = x s, so 1 - t^q = (1 - x^q) + x^q (1 - s^q)
+        return (mc + m * _one_minus_pow(s, sc, q)) ** neg_inv_p
 
     return x * integrate_singular(integrand, tol, complement=True).value
 
@@ -87,11 +85,9 @@ def sin_pq(params: PQParams, theta: float, tol: float = 1e-12) -> float:
 
 def _cos_from_sin(s: float, q: float) -> float:
     """(1 - s^q)^(1/q) for s = sin_pq theta in [0, 1], exact at both ends."""
-    if s == 0.0:
-        return 1.0
     if s == 1.0:
         return 0.0
-    return _one_minus_xp(s, q) ** (1.0 / q)
+    return _pow_pair(s, q)[1] ** (1.0 / q)
 
 
 def cos_pq(params: PQParams, theta: float) -> float:

@@ -218,8 +218,12 @@ def mean_mp(a: float, b: float, p: float, method: str = "auto", tol: float = 1e-
     ``hyp_base`` and ``hyp_quad``; ``nakamura`` (the product-form series) is
     an alias of ``hyp_base``, whose terms it equals.  Series representations
     whose argument exceeds 0.99 fall back to the half-line integral.
-    ``_mean_mp`` also returns the kind of route that actually ran
-    (``quadrature`` after a fallback) and the kernel's own error estimate.
+    ``elliptic`` is not independent of ``hyp_base`` wherever K_{p*,p} takes
+    its series: that series is F(1/p, 1/p; 2/p; k^p) with k^p = 1 - x^p, the
+    base series itself.  ``tol`` is the quadrature tolerance; series routes
+    keep hyp2f1's fixed stopping rule.  ``_mean_mp`` also returns the kind of
+    route that actually ran (``quadrature`` after a fallback) and the
+    kernel's own error estimate.
     """
     return _mean_mp(a, b, p, method, tol).value
 
@@ -255,7 +259,8 @@ def mean_kp(a: float, b: float, p: float, method: str = "closed", tol: float = 1
     The closed form is valid for every finite real p, with the stated limits
     K_0 = ab/L(a, b) and K_1 = L(a, b) taking over within 1e-8 of the
     removable points.  The integral and hypergeometric representations
-    require p > 0.
+    require p > 0.  ``tol`` is the quadrature tolerance; series routes keep
+    hyp2f1's fixed stopping rule.
     ``_mean_kp`` also returns the kind of route that actually ran
     (``quadrature`` after a fallback) and the kernel's own error estimate.
     """

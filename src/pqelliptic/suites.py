@@ -89,8 +89,7 @@ def _suite_hypergeo() -> list[CaseResult]:
 
 
 def _suite_quadtransform() -> list[CaseResult]:
-    """The quadratic transformation applied at the parameter triples that
-    produce the second series forms of 1/M_p and 1/K_p."""
+    """Quadratic transformation at the triples of the 1/M_p and 1/K_p series."""
     cases = []
     for a, b in ((1 / 3, 1 / 3), (1.0, 1 / 3), (0.5, 0.25)):
         for x in (0.0, 0.2, 0.5, 0.8):
@@ -104,7 +103,7 @@ _ORDERING_XS = (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
 
 
 def _suite_means_ordering() -> list[CaseResult]:
-    """Strict sign of M_p - K_p on both sides of p = 1."""
+    """Sign of M_p - K_p around p = 1 (a zero gap passes), plus the p = 0, 1 anchors."""
     cases = []
     for p in _ORDERING_PS:
         want = 1.0 if p < 1.0 else -1.0

@@ -2,12 +2,18 @@
 determinism, and the verify subcommand."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from pqelliptic.cli import GridSpec, main
 from pqelliptic.suites import SUITE_NAMES
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def value_of(capsys):
@@ -95,6 +101,50 @@ def test_eval_domain_errors(capsys):
     assert main(["eval", "--fn", "Mp", "--a", "-1", "--b", "1", "--p", "2"]) == 1
     err = capsys.readouterr().err
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    (
+        ["--fn", "Mp", "--a", "1", "--b", "1e-30", "--p", "60"],  # ZeroDivisionError
+        ["--fn", "Kpq", "--p", "1.01", "--q", "0.5", "--k", "0.99"],  # OverflowError
+    ),
+)
+def test_eval_arithmetic_failure_exits_1_without_traceback(args):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pqelliptic", "eval", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_method_and_tol_only_where_a_route_uses_them(capsys):
+    bad = [
+        ["eval", "--fn", "hyp2f1", "--a", "1", "--b", "1", "--c", "2", "--x", "0.5",
+         "--method", "quadrature"],
+        ["eval", "--fn", "sinpq", "--p", "2", "--q", "2", "--x", "0.5", "--method", "bogus"],
+        ["eval", "--fn", "cospq", "--p", "2", "--q", "2", "--x", "0.5", "--tol", "1e-3"],
+        ["eval", "--fn", "pi_pq", "--p", "2", "--q", "2", "--tol", "1e-3"],
+        ["table", "--fn", "ordering", "--p", "0.5:2:3", "--x", "0.5", "--method", "hyp_base"],
+        ["table", "--fn", "L", "--a", "1:2:3", "--b", "1", "--tol", "1e-3"],
+    ]
+    for argv in bad:
+        assert main(argv) == 2, argv
+        assert "usage error: --" in capsys.readouterr().err
+    good = [
+        ["eval", "--fn", "hyp2f1", "--a", "1", "--b", "1", "--c", "2", "--x", "0.5",
+         "--tol", "1e-10"],
+        ["eval", "--fn", "Epq", "--p", "2", "--q", "2", "--k", "0.5", "--method", "quadrature",
+         "--tol", "1e-10"],
+        ["eval", "--fn", "Kp", "--a", "1", "--b", "0.5", "--p", "3", "--method", "integral"],
+        ["table", "--fn", "Kpq", "--p", "2", "--q", "2", "--k", "0:0.5:3", "--method", "series"],
+    ]
+    for argv in good:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 # -------------------------------------------------------------------- table
@@ -211,3 +261,12 @@ def test_verify_summary_goes_to_stderr_only(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err != ""
+
+
+def test_verify_help_lists_every_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name in SUITE_NAMES:
+        assert f"\n  {name} " in out, name

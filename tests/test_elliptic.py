@@ -158,6 +158,39 @@ def test_dK_small_k_tends_to_zero():
     assert abs(dK_dk(par, 1e-4)) < 1e-3
 
 
+# references from mpmath at 60 digits; 1 - k^q formed by subtraction is off by
+# up to 7.8e-4 relative at these points
+DK_NEAR_ONE = (
+    (4, 1.5, 0.999999999999, 666681414792.8476),
+    (2.5, 2.5, 0.999999999999, 400008848877.14217),
+    (50, 0.05, 0.999999999999, 20000442443669.532),
+    (2, 3, 0.99999999, 33333329.955311172),
+)
+
+
+@pytest.mark.parametrize("p, q, k, ref", DK_NEAR_ONE, ids=("4-1.5", "2.5-2.5", "50-0.05", "2-3"))
+def test_dK_near_one_uses_exact_complement(p, q, k, ref):
+    assert math.isclose(dK_dk(PQParams(p, q), k), ref, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("p, q", ((2, 2), (3, 2), (1.5, 4), (4, 1.5), (-2, 2), (50, 0.05)))
+def test_quadrature_near_one_matches_mpmath(p, q):
+    mpmath = pytest.importorskip("mpmath")
+    par = PQParams(p, q)
+    with mpmath.workdps(40):
+        ips, iq = 1 - 1 / mpmath.mpf(p), 1 / mpmath.mpf(q)
+        half = mpmath.beta(ips, iq) * iq
+        for mq in (0.995, 1 - 1e-6, 1 - 1e-10):
+            k = mq ** (1.0 / q)
+            m = mpmath.mpf(k) ** q  # the argument of the float k, exactly
+            K_ref = half * mpmath.hyp2f1(ips, iq, ips + iq, m)
+            E_ref = half * mpmath.hyp2f1(-1 / mpmath.mpf(p), iq, ips + iq, m)
+            K = K_pq(par, k, "quadrature").value
+            E = E_pq(par, k, "quadrature").value
+            assert abs(K / K_ref - 1) <= 1e-13, (mq, "K")
+            assert abs(E / E_ref - 1) <= 1e-13, (mq, "E")
+
+
 # -------------------------------------------------- Legendre-type relation
 
 

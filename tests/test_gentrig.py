@@ -65,6 +65,17 @@ def test_arcsin_classical_values():
         assert math.isclose(arcsin_pq(par, x), math.asin(x), abs_tol=1e-12)
 
 
+def test_arcsin_near_one_matches_mpmath():
+    # arcsin_pq(x) = x F(1/p, 1/q; 1 + 1/q; x^q)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for par in PAIRS + (PQParams(4, 1.5), PQParams(1.2, 0.7)):
+            ip, iq = 1 / mpmath.mpf(par.p), 1 / mpmath.mpf(par.q)
+            for x in (0.999, 1 - 1e-8, 1 - 1e-12, 1 - 2.0**-53, 1.0):
+                ref = x * mpmath.hyp2f1(ip, iq, 1 + iq, mpmath.mpf(x) ** par.q)
+                assert abs(arcsin_pq(par, x) / ref - 1) <= 1e-13, (par, x)
+
+
 def test_arcsin_endpoint_is_half_period():
     for par in PAIRS:
         assert abs(arcsin_pq(par, 1.0) - 0.5 * pi_pq(par)) <= 1e-10
