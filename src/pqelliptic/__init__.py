@@ -20,6 +20,7 @@ from .numerics import (
     EvalResult,
     HypSeriesSpec,
     beta,
+    digamma,
     hyp2f1,
     integrate_halfline,
     integrate_singular,
@@ -44,6 +45,7 @@ __all__ = [
     "cos_pq",
     "dE_dk",
     "dK_dk",
+    "digamma",
     "hyp2f1",
     "integrate_halfline",
     "integrate_singular",

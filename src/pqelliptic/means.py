@@ -219,8 +219,10 @@ def mean_mp(a: float, b: float, p: float, method: str = "auto", tol: float = 1e-
     an alias of ``hyp_base``, whose terms it equals.  Series representations
     whose argument exceeds 0.99 fall back to the half-line integral.
     ``elliptic`` is not independent of ``hyp_base`` wherever K_{p*,p} takes
-    its series: that series is F(1/p, 1/p; 2/p; k^p) with k^p = 1 - x^p, the
-    base series itself.  ``tol`` is the quadrature tolerance; series routes
+    its series in k^p = 1 - x^p (k^p <= 1/2, or where its connection series
+    would have growing terms): that series is F(1/p, 1/p; 2/p; k^p), the
+    base series itself.  Elsewhere K_{p*,p} sums its connection series in
+    x^p, an independent route.  ``tol`` is the quadrature tolerance; series routes
     keep hyp2f1's fixed stopping rule.  ``_mean_mp`` also returns the kind of
     route that actually ran (``quadrature`` after a fallback) and the
     kernel's own error estimate.

@@ -1,10 +1,10 @@
 """Scalar numerical kernels the rest of the library is built on.
 
-Gamma/beta helpers, the Gauss hypergeometric series, double-exponential
-(tanh-sinh) quadrature for integrands with algebraic endpoint singularities,
-and bracketed inversion of monotone functions.  Everything is a pure function
-of its arguments; the only module state is an idempotent cache of quadrature
-nodes.
+Gamma/beta/digamma helpers, the Gauss hypergeometric series and its
+connection series in 1 - z, double-exponential (tanh-sinh) quadrature for
+integrands with algebraic endpoint singularities, and bracketed inversion of
+monotone functions.  Everything is a pure function of its arguments; the
+only module state is an idempotent cache of quadrature nodes.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ __all__ = [
     "HypSeriesSpec",
     "SERIES_ARG_MAX",
     "beta",
+    "digamma",
     "hyp2f1",
     "integrate_halfline",
     "integrate_singular",
@@ -80,6 +81,33 @@ def beta(x: float, y: float) -> float:
     return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
 
 
+_EULER_GAMMA = 0.5772156649015329  # -psi(1)
+# B_2k / (2k) for k = 1..7, the coefficients of digamma's asymptotic series
+_PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+
+
+def digamma(x: float) -> float:
+    """psi(x) = Gamma'(x) / Gamma(x) for x > 0, within a few ulps of max(1, |psi|).
+
+    The recurrence psi(x) = psi(x + 1) - 1/x lifts x to at least 10, where
+    the asymptotic series log x - 1/(2x) - sum B_2k / (2k x^2k), cut after
+    x^-14, is exact to rounding; fsum adds the pieces without cancellation
+    error near the root at 1.46.
+    """
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"digamma requires x > 0, got {x!r}")
+    parts = []
+    while x < 10.0:
+        parts.append(-1.0 / x)
+        x += 1.0
+    y = 1.0 / (x * x)
+    tail = 0.0
+    for coef in reversed(_PSI_SERIES):
+        tail = tail * y + coef
+    parts += (math.log(x), -0.5 / x, -y * tail)
+    return math.fsum(parts)
+
+
 def pochhammer(a: float, n: int) -> float:
     """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1 exactly."""
     if n != int(n) or n < 0:
@@ -90,6 +118,33 @@ def pochhammer(a: float, n: int) -> float:
     return out
 
 
+def _log_order(a: float, b: float, c: float) -> int | None:
+    """a + b - c when it is 0 or 1 up to the rounding of c, else None."""
+    gap = a + b - c
+    slack = 8.0 * sys.float_info.epsilon * (abs(a) + abs(b) + abs(c))
+    for m in (0, 1):
+        if abs(gap - m) <= slack:
+            return m
+    return None
+
+
+def _connection_domain(a: float, b: float, c: float, w: float) -> bool:
+    """Whether F(a, b; c; 1 - w) may be summed as a connection series in w.
+
+    a + b - c must be m = 0 or 1, a and b positive, 0 < w <= 1/2, and no
+    term ratio (a + n)(b + n) w / ((n + 1)(n + m + 1)) may exceed 1.  Each
+    factor moves monotonically towards 1, so the largest ratio is at most
+    max(a, 1) max(b / (m + 1), 1) w.  Where terms grow, they fall later and
+    cancel, so such points are not taken: at a = 51, b = 0.04, w = 0.4 the
+    first ratio is 0.82, but the largest term is 7e4 times the sum, which
+    comes out 2e-8 off in relative terms.
+    """
+    m = _log_order(a, b, c)
+    if m is None or not (a > 0.0 and b > 0.0 and 0.0 < w <= 0.5):
+        return False
+    return max(a, 1.0) * max(b / (m + 1), 1.0) * w <= 1.0
+
+
 @dataclass(frozen=True)
 class HypSeriesSpec:
     """Parameters of one Gauss hypergeometric evaluation F(a, b; c; arg).
@@ -97,6 +152,10 @@ class HypSeriesSpec:
     The series converges for |arg| < 1, and at arg = 1 when c - a - b > 0;
     anything else is rejected up front.  c must not be zero or a negative
     integer, so the denominator Pochhammer never vanishes.
+
+    ``arg_c``, when given, is the exact complement 1 - arg (so arg itself may
+    have rounded to 1) and selects the connection series in w = arg_c; the
+    parameters must then lie in the domain of ``_connection_domain``.
     """
 
     a: float
@@ -105,16 +164,27 @@ class HypSeriesSpec:
     arg: float
     rel_tol: float = 1e-14
     max_terms: int = 1_000_000
+    arg_c: float | None = None
 
     def __post_init__(self) -> None:
         if self.c <= 0.0 and float(self.c).is_integer():
             raise ValueError(f"c must not be zero or a negative integer, got {self.c!r}")
-        ok_inside = abs(self.arg) < 1.0
-        ok_boundary = self.arg == 1.0 and self.c - self.a - self.b > 0.0
-        if not (ok_inside or ok_boundary):
-            raise ValueError(
-                f"series argument {self.arg!r} needs |arg| < 1, or arg = 1 with c - a - b > 0"
-            )
+        if self.arg_c is not None:
+            if not _connection_domain(self.a, self.b, self.c, self.arg_c):
+                raise ValueError(
+                    f"connection series needs a + b - c in {{0, 1}}, a, b > 0, "
+                    f"0 < 1 - arg <= 1/2 and terms that do not grow, got a={self.a:g}, "
+                    f"b={self.b:g}, c={self.c:g}, 1 - arg={self.arg_c:g}"
+                )
+            if abs((1.0 - self.arg) - self.arg_c) > 4.0 * sys.float_info.epsilon:
+                raise ValueError(f"arg_c={self.arg_c!r} is not the complement of arg={self.arg!r}")
+        else:
+            ok_inside = abs(self.arg) < 1.0
+            ok_boundary = self.arg == 1.0 and self.c - self.a - self.b > 0.0
+            if not (ok_inside or ok_boundary):
+                raise ValueError(
+                    f"series argument {self.arg!r} needs |arg| < 1, or arg = 1 with c - a - b > 0"
+                )
         if not self.rel_tol > 0.0:
             raise ValueError("rel_tol must be positive")
         if self.max_terms < 1:
@@ -128,7 +198,13 @@ def hyp2f1(spec: HypSeriesSpec) -> EvalResult:
     symmetric under swapping a and b.  Summation stops once two consecutive
     terms fall below rel_tol times the running partial sum; the second of
     them is dropped and its magnitude becomes the error estimate.
+
+    Given a spec with ``arg_c``, it returns instead the logarithmic sum S_m
+    of F's connection formula in 1 - arg (see ``_log_series``) and leaves
+    the gamma prefactors to the caller.
     """
+    if spec.arg_c is not None:
+        return _log_series(spec)
     a, b, c, x = spec.a, spec.b, spec.c, spec.arg
     total = 1.0
     term = 1.0
@@ -145,6 +221,67 @@ def hyp2f1(spec: HypSeriesSpec) -> EvalResult:
     raise ConvergenceError(
         f"hypergeometric series did not settle within {spec.max_terms} terms "
         f"(a={a:g}, b={b:g}, c={c:g}, arg={x:g})"
+    )
+
+
+def _log_series(spec: HypSeriesSpec) -> EvalResult:
+    """The logarithmic sum of A&S 15.3.10 (m = 0) and 15.3.12 (m = 1) for
+    F(a, b; a + b - m; 1 - w), w = arg_c:
+
+        S_m = sum_n (a)_n (b)_n / (n! (n+m)!) w^n
+              [log w - psi(n+1) - psi(n+m+1) + psi(a+n) + psi(b+n)].
+
+    F = -Gamma(a+b)/(Gamma(a)Gamma(b)) S_0 for m = 0, and
+    F = Gamma(a+b-1)/(Gamma(a)Gamma(b)) (1/w + (a-1)(b-1) S_1) for m = 1;
+    the caller applies these factors.
+
+    The bracket follows the digamma recurrences from psi(a) and psi(b).
+    Summation stops once a bound on the remaining tail falls below rel_tol
+    times the partial sum.  The error is that tail bound plus, for rounding,
+    n eps times the largest term and a few eps of the bracket's constants
+    carried by every term.
+    """
+    a, b, w = spec.a, spec.b, spec.arg_c
+    m = _log_order(a, b, spec.c)
+    log_w = math.log(w)
+    psi_a, psi_b = digamma(a), digamma(b)
+    # log w - psi(1) - psi(m + 1) + psi(a) + psi(b), with psi(2) = 1 - gamma
+    bracket = log_w + 2.0 * _EULER_GAMMA - m + psi_a + psi_b
+    ua, ub = 1.0 - a, m + 1.0 - b
+    # psi(a + j) - psi(j + 1) = -ua psi'(y) with y >= min(a, 1) + j, and
+    # psi'(y) <= 2/y for y >= 1; likewise psi(b + j) - psi(j + m + 1)
+    da, ya = 2.0 * abs(ua), min(a, 1.0)
+    db, yb = 2.0 * abs(ub), min(b, m + 1.0)
+    size_w = abs(log_w)
+    cw = 1.0  # (a)_n (b)_n / (n! (n+m)!) w^n
+    total = peak = mass = 0.0
+    for n in range(spec.max_terms):
+        term = cw * bracket
+        total += term
+        if abs(term) > peak:
+            peak = abs(term)
+        mass += cw
+        an, bn, n1 = a + n, b + n, n + 1.0
+        cw *= an * bn / (n1 * (n1 + m)) * w
+        # psi(a+n+1) - psi(a+n) - psi(n+2) + psi(n+1) = 1/(a+n) - 1/(n+1), and for b
+        bracket += ua / (an * n1) + ub / (bn * (n1 + m))
+        if cw * size_w > spec.rel_tol * abs(total):
+            continue  # the tail bound below is at least cw |log w|
+        # Past n the factors (a + j)/(j + 1) and (b + j)/(j + m + 1) move
+        # monotonically towards 1, so r bounds every later coefficient ratio,
+        # and every later bracket lies within `stray` of log w.
+        r = max((a + n + 1) / (n + 2), 1.0) * max((b + n + 1) / (n + m + 2), 1.0) * w
+        if r >= 1.0:
+            continue
+        stray = da / (ya + n + 1) + db / (yb + n + 1)
+        tail = cw * (size_w + stray) / (1.0 - r)
+        if tail <= spec.rel_tol * abs(total):
+            constants = 4.0 * (size_w + abs(psi_a) + abs(psi_b) + 2.0) * mass
+            eps = sys.float_info.epsilon
+            return EvalResult(total, tail + eps * ((n + 1) * peak + constants), "series")
+    raise ConvergenceError(
+        f"connection series did not settle within {spec.max_terms} terms "
+        f"(a={a:g}, b={b:g}, c={spec.c:g}, 1 - arg={w:g})"
     )
 
 

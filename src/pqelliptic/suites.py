@@ -75,16 +75,23 @@ def _suite_derivatives() -> list[CaseResult]:
 
 
 def _suite_hypergeo() -> list[CaseResult]:
-    """Series and quadrature representations of K and E as mutual oracles."""
+    """Series and connection series of K and E, each against quadrature.
+
+    The series in k^q runs at k = 0, 0.1, ..., 0.9; the connection series in
+    1 - k^q at k^q = 0.75, 0.999 and 1 - 1e-9.
+    """
     cases = []
     for p, q in ((2, 2), (3, 2), (2, 3), (1.5, 4)):
         par = PQParams(p, q)
-        for i in range(10):
-            k = i / 10.0
-            dk = abs(K_pq(par, k, "series").value - K_pq(par, k, "quadrature").value)
-            de = abs(E_pq(par, k, "series").value - E_pq(par, k, "quadrature").value)
-            cases.append(CaseResult(f"K p={p} q={q} k={k}", dk, 1e-10))
-            cases.append(CaseResult(f"E p={p} q={q} k={k}", de, 1e-10))
+        points = [("series", f"p={p} q={q} k={i / 10.0}", i / 10.0) for i in range(10)]
+        points += [
+            ("connection", f"connection p={p} q={q} k^q={mq:g}", mq ** (1.0 / q))
+            for mq in (0.75, 0.999, 1 - 1e-9)
+        ]
+        for route, label, k in points:
+            for name, fn in (("K", K_pq), ("E", E_pq)):
+                d = abs(fn(par, k, route).value - fn(par, k, "quadrature").value)
+                cases.append(CaseResult(f"{name} {label}", d, 1e-10))
     return cases
 
 

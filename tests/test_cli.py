@@ -10,6 +10,8 @@ import sys
 import pytest
 
 from pqelliptic.cli import GridSpec, main
+from pqelliptic.elliptic import E_pq
+from pqelliptic.gentrig import PQParams
 from pqelliptic.suites import SUITE_NAMES
 
 
@@ -107,7 +109,8 @@ def test_eval_domain_errors(capsys):
     "args",
     (
         ["--fn", "Mp", "--a", "1", "--b", "1e-30", "--p", "60"],  # ZeroDivisionError
-        ["--fn", "Kpq", "--p", "1.01", "--q", "0.5", "--k", "0.99"],  # OverflowError
+        # OverflowError in the integrand; auto sums the connection series here
+        ["--fn", "Kpq", "--p", "1.01", "--q", "0.5", "--k", "0.99", "--method", "quadrature"],
     ),
 )
 def test_eval_arithmetic_failure_exits_1_without_traceback(args):
@@ -145,6 +148,18 @@ def test_method_and_tol_only_where_a_route_uses_them(capsys):
     for argv in good:
         assert main(argv) == 0, argv
     capsys.readouterr()
+
+
+def test_eval_connection_route(capsys):
+    assert main(["eval", "--fn", "Epq", "--p", "2", "--q", "2", "--k", "0.999",
+                 "--method", "connection"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("method=series\n")
+    assert out.split()[0] == f"{E_pq(PQParams(2, 2), 0.999, 'connection').value:.15g}"
+    # k^q = 0.25 lies outside the route's domain: a domain error, not a fallback
+    assert main(["eval", "--fn", "Kpq", "--p", "2", "--q", "2", "--k", "0.5",
+                 "--method", "connection"]) == 1
+    assert "connection route requires k^q > 1/2" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- table

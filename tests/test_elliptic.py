@@ -3,12 +3,15 @@ oracle, series/quadrature duality, the derivative system, the Legendre-type
 relation, and the sin_pq moment formula."""
 
 import math
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from pqelliptic.elliptic import E_pq, K_pq, dE_dk, dK_dk, legendre_residual, moment_sin_pq
 from pqelliptic.gentrig import PQParams, pi_pq
-from pqelliptic.numerics import integrate_singular
+from pqelliptic.numerics import _pow_pair, integrate_singular
 
 DUALITY_PAIRS = (PQParams(2, 2), PQParams(3, 2), PQParams(2, 3), PQParams(1.5, 4))
 
@@ -81,7 +84,8 @@ def test_auto_matches_explicit_methods():
     assert r.method == "series"
     assert r.value == K_pq(par, 0.5, "series").value
     r = K_pq(par, 0.9999)
-    assert r.method == "quadrature"
+    assert r.method == "series"
+    assert r.value == K_pq(par, 0.9999, "connection").value
 
 
 def test_series_refuses_near_boundary():
@@ -189,6 +193,110 @@ def test_quadrature_near_one_matches_mpmath(p, q):
             E = E_pq(par, k, "quadrature").value
             assert abs(K / K_ref - 1) <= 1e-13, (mq, "K")
             assert abs(E / E_ref - 1) <= 1e-13, (mq, "E")
+
+
+# ------------------------------------------------------- connection route
+
+
+def _oracle():
+    """perfbench's 30-digit references (mpmath), as its own tests import them."""
+    pytest.importorskip("mpmath")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import oracle
+
+    return oracle
+
+
+def _connection_ratio(par, k, second_kind):
+    """First term ratio a b w / (m + 1) of the connection sum, and w."""
+    w = _pow_pair(k, par.q)[1]
+    a, b = 1.0 / par.p_star, 1.0 / par.q
+    if second_kind:
+        return a * (1.0 + b) * w / 2.0, w
+    return a * b * w, w
+
+
+def test_classical_connection_against_agm_oracle():
+    # agm_KE forms 1 - k^2 by subtraction, so it is no oracle much closer to 1
+    par = PQParams(2, 2)
+    for k in (0.75, 0.8, 0.9, 0.95, 0.99):
+        K_exact, E_exact = agm_KE(k)
+        assert abs(K_pq(par, k, "connection").value - K_exact) <= 1e-13 * K_exact
+        assert abs(E_pq(par, k, "connection").value - E_exact) <= 1e-13
+
+
+def test_connection_refuses_below_half():
+    for par in DUALITY_PAIRS:
+        for mq in (0.0, 0.3, 0.49):
+            k = mq ** (1.0 / par.q)
+            with pytest.raises(ValueError, match="connection route"):
+                K_pq(par, k, "connection")
+            with pytest.raises(ValueError, match="connection route"):
+                E_pq(par, k, "connection")
+
+
+# p -> 0-: 1/p* = 51, so the terms would grow.  At (-0.02, 2) the first term
+# ratio already exceeds 1; at (-0.02, 25) K's first ratio is 0.8, but the
+# later ratios (51 + n) w / (n + 1) exceed 1 and the terms grow before they
+# cancel.  Both keep the route they took before the connection route existed;
+# the values are those of that route, bit for bit.
+GROWING_TERMS = (
+    (-0.02, 2.0, 0.9, 0.37872316899994174, 0.3533064846146245),
+    (-0.02, 25.0, 0.6, 0.8675451150034574, 0.8665552956121345),
+)
+
+
+@pytest.mark.parametrize("p, q, mq, K_auto, E_auto", GROWING_TERMS, ids=("q2", "q25"))
+def test_connection_refuses_growing_terms(p, q, mq, K_auto, E_auto):
+    par = PQParams(p, q)
+    k = mq ** (1.0 / q)
+    ratio_k, w = _connection_ratio(par, k, False)
+    ratio_e, _ = _connection_ratio(par, k, True)
+    assert w <= 0.5 and ratio_e > 1.0
+    assert (ratio_k > 1.0) == (q == 2.0)
+    for fn, auto in ((K_pq, K_auto), (E_pq, E_auto)):
+        with pytest.raises(ValueError, match="connection route"):
+            fn(par, k, "connection")
+        r = fn(par, k)
+        assert r.value == auto
+        assert r.value == fn(par, k, "series").value
+
+
+def test_overflow_reproducer_matches_oracle():
+    # the quadrature integrand overflows here; auto sums the connection series
+    oracle = _oracle()
+    r = K_pq(PQParams(1.01, 0.5), 0.99)
+    ref = float(oracle._twice(oracle._k_pq, 1.01, 0.5, 0.99))
+    assert abs(r.value - ref) <= min(r.abs_err, 1e-13 * ref)
+
+
+def _connection_sample():
+    """The hypergeo suite's pairs plus 40 (p, q) pairs drawn from the domain
+    p in (-50, -0.01) u (1.001, 50), q in (0.05, 50), at k^q from 0.51 to
+    1 - 1e-12.  Every point lies inside the connection domain."""
+    rng = random.Random(7)
+    pts = [
+        (p, q, mq)
+        for p, q in ((2, 2), (3, 2), (2, 3), (1.5, 4))
+        for mq in (0.51, 0.75, 0.9, 0.999, 1 - 1e-9, 1 - 1e-12)
+    ]
+    for j in range(40):
+        p = rng.uniform(-50.0, -0.01) if j % 2 else rng.uniform(1.001, 50.0)
+        pts.append((p, rng.uniform(0.05, 50.0), 1.0 - 10.0 ** rng.uniform(-12.0, math.log10(0.49))))
+    return pts
+
+
+def test_connection_matches_oracle_within_its_error():
+    oracle = _oracle()
+    for p, q, mq in _connection_sample():
+        par = PQParams(p, q)
+        k = mq ** (1.0 / q)
+        for fn, ref_fn in ((K_pq, oracle._k_pq), (E_pq, oracle._e_pq)):
+            r = fn(par, k, "connection")
+            ref = float(oracle._twice(ref_fn, p, q, k))
+            err = abs(r.value - ref)
+            assert err <= r.abs_err, (fn.__name__, p, q, mq, err, r.abs_err)
+            assert err <= 1e-13 * abs(ref), (fn.__name__, p, q, mq, err)
 
 
 # -------------------------------------------------- Legendre-type relation

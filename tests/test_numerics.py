@@ -1,5 +1,6 @@
-"""Core numerical kernels: gamma/beta, hypergeometric series, singular
-quadrature, half-line quadrature, and monotone inversion."""
+"""Core numerical kernels: gamma/beta/digamma, hypergeometric series and
+their connection series, singular quadrature, half-line quadrature, and
+monotone inversion."""
 
 import math
 
@@ -9,7 +10,9 @@ from pqelliptic.numerics import (
     ConvergenceError,
     EvalResult,
     HypSeriesSpec,
+    _pow_pair,
     beta,
+    digamma,
     hyp2f1,
     integrate_halfline,
     integrate_singular,
@@ -183,6 +186,66 @@ def test_hyp_series_spec_validation():
         HypSeriesSpec(1.0, 1.0, 2.0, 0.5, rel_tol=0.0)
     with pytest.raises(ValueError):
         HypSeriesSpec(1.0, 1.0, 2.0, 0.5, max_terms=0)
+
+
+# ------------------------------------------------ digamma, connection series
+
+
+def test_digamma_anchors_and_recurrence():
+    gamma = 0.5772156649015329
+    assert math.isclose(digamma(1.0), -gamma, rel_tol=1e-15)
+    assert math.isclose(digamma(0.5), -gamma - 2.0 * math.log(2.0), rel_tol=1e-15)
+    for x in (1e-3, 0.3, 1.4616321449683622, 7.5, 9.99, 250.0):
+        assert abs(digamma(x + 1.0) - digamma(x) - 1.0 / x) <= 1e-14 * max(1.0, 1.0 / x)
+    for bad in (0.0, -1.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            digamma(bad)
+
+
+def test_digamma_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    xs = [10.0 ** (-3.0 + 6.0 * j / 600) for j in range(601)]
+    xs += [float(n) for n in range(1, 21)] + [1.4616321449683622, 9.999999999, 10.0]
+    with mpmath.workdps(30):
+        for x in xs:
+            ref = mpmath.digamma(x)
+            assert abs(digamma(x) - ref) <= 1e-14 * max(1.0, abs(ref)), x
+
+
+def _connection(a, b, c, w):
+    return hyp2f1(HypSeriesSpec(a, b, c, 1.0 - w, rel_tol=2.0**-53, arg_c=w))
+
+
+def test_connection_series_closed_forms():
+    # F(1, 1; 2; z) = -log(1 - z)/z = -S_0(1, 1; w), so S_0 = log(w) / (1 - w);
+    # F(2, 2; 3; z) = 2 (1/w + S_1(2, 2; w)) gives S_1 = (z + log w) / z^2
+    for w in (0.5, 0.25, 1e-3, 1e-8, 1e-300):
+        z = 1.0 - w
+        for r, want in (
+            (_connection(1.0, 1.0, 2.0, w), math.log(w) / z),
+            (_connection(2.0, 2.0, 3.0, w), (z + math.log(w)) / (z * z)),
+        ):
+            assert r.method == "series"
+            assert abs(r.value - want) <= r.abs_err + 4e-16 * abs(want), w
+            assert abs(r.value - want) <= 1e-14 * abs(want), w
+
+
+def test_connection_spec_validation():
+    # q = 0.05, k = 1 - 2^-53: k^q rounds to 1.0, its complement does not
+    m, w = _pow_pair(1.0 - 2.0**-53, 0.05)
+    assert m == 1.0 and 0.0 < w < 1e-17
+    assert math.isfinite(_connection(1.0, 1.0, 2.0, w).value)
+    HypSeriesSpec(1.0, 1.0, 2.0, m, arg_c=w)
+    for bad in (
+        dict(a=1.0, b=1.0, c=1.5, arg=0.75, arg_c=0.25),  # a + b - c = 0.5
+        dict(a=1.0, b=1.0, c=2.0, arg=0.4, arg_c=0.6),  # w > 1/2
+        dict(a=51.0, b=0.5, c=51.5, arg=0.9, arg_c=0.1),  # terms grow
+        dict(a=-0.5, b=0.5, c=0.0 + 1e-300, arg=0.9, arg_c=0.1),  # a <= 0
+        dict(a=1.0, b=1.0, c=2.0, arg=0.6, arg_c=0.3),  # not the complement
+        dict(a=1.0, b=1.0, c=2.0, arg=1.0, arg_c=0.0),  # w = 0
+    ):
+        with pytest.raises(ValueError):
+            HypSeriesSpec(**bad)
 
 
 # ------------------------------------------------------- singular quadrature
