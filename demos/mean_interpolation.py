@@ -3,10 +3,11 @@
 M_p interpolates the geometric mean (p = 0), the logarithmic mean (p = 1)
 and the arithmetic-geometric mean (p = 2).  Its reciprocal has four
 representations (half-line integral, elliptic integral, and two
-hypergeometric series related by a quadratic transformation); the
-product-form series ``nakamura`` equals the base series term by term and is
-accepted as its alias.  1/K_p has four representations.  Comparing the third parameters of the two transformed
-series decides the ordering: M_p > K_p below p = 1 and M_p < K_p above.
+hypergeometric series related by a quadratic transformation), and 1/K_p has
+four.  Each named route runs only itself: a series whose argument exceeds
+0.99 raises ValueError.  Comparing the third parameters of the two
+transformed series decides the ordering: M_p > K_p below p = 1 and
+M_p < K_p above.
 
 Run:  python demos/mean_interpolation.py
 """
@@ -22,10 +23,13 @@ print(f"  M_2 = AG(a, b)      = {mean_mp(a, b, 2.0):.12f}  (AGM   = {mean_ag(a, 
 print(f"  normalizer c_2      = {c_p(2.0):.12f}  (2/pi  = {2.0 / 3.141592653589793:.12f})")
 
 print()
-print("Four routes to 1/M_3(1, 0.3), plus the nakamura alias of hyp_base:")
-for method in ("integral", "elliptic", "hyp_base", "hyp_quad", "nakamura"):
-    note = "  (alias of hyp_base)" if method == "nakamura" else ""
-    print(f"  {method:9s} -> {1.0 / mean_mp(a, b, 3.0, method):.15f}{note}")
+print("Four routes to 1/M_3(1, 0.3):")
+for method in ("integral", "elliptic", "hyp_base", "hyp_quad"):
+    print(f"  {method:9s} -> {1.0 / mean_mp(a, b, 3.0, method):.15f}")
+try:
+    mean_mp(a, 0.001, 3.0, "hyp_base")
+except ValueError as err:
+    print(f"At (1, 0.001) the base series is out of reach: {err}")
 print("Four routes to 1/K_3(1, 0.3):")
 for method in ("closed", "integral", "hyp_base", "hyp_quad"):
     print(f"  {method:9s} -> {1.0 / mean_kp(a, b, 3.0, method):.15f}")

@@ -58,13 +58,10 @@ class GridSpec:
 
 
 def _need(args: dict, names: tuple[str, ...], fn: str) -> list[float]:
-    vals = []
-    for n in names:
-        v = args.get(n)
-        if v is None:
-            raise _UsageError(f"--fn {fn} requires --{n}")
-        vals.append(v)
-    return vals
+    missing = [n for n in names if args.get(n) is None]
+    if missing:
+        raise _UsageError(f"--fn {fn} requires --{missing[0]}")
+    return [args[n] for n in names]
 
 
 def _eval_closed(fn: Callable, flags: tuple[str, ...], name: str) -> Callable[[dict], EvalResult]:
@@ -249,8 +246,7 @@ def _cmd_verify(ns: argparse.Namespace, err: TextIO) -> int:
         )
         if not report.passed:
             all_passed = False
-            failing = [c for c in cases if not c.passed][:10]
-            for c in failing:
+            for c in [c for c in cases if not c.passed][:10]:
                 print(f"  failing: {c.name}  residual={c.residual:.3e} "
                       f"(bound {c.bound:.1e})", file=err)
     return 0 if all_passed else 1

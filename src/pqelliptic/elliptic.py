@@ -48,9 +48,9 @@ def _complete(params: PQParams, k: float, method: str, tol: float, second_kind: 
       against pi_pq/2;
     - ``quadrature``: integral_0^1 (1 - t^q)^(-1/p) (1 - m t^q)^(-a) dt.
 
-    ``auto`` takes the series for m <= 1/2, the connection series where its
-    domain admits w, and otherwise the series up to m = SERIES_ARG_MAX and
-    the quadrature beyond.
+    Each domain is evaluated once; ``auto`` is the first route that admits m:
+    connection (m > 1/2 and terms that do not grow), series
+    (m <= SERIES_ARG_MAX), quadrature.  A named route outside raises ValueError.
     """
     _check_modulus(k)
     m, mc = _pow_pair(k, params.q)
@@ -59,26 +59,22 @@ def _complete(params: PQParams, k: float, method: str, tol: float, second_kind: 
     a = -1.0 / params.p if second_kind else inv_ps
     b_log = 1.0 + inv_q if second_kind else inv_q
     fits = m > 0.5 and _connection_domain(inv_ps, b_log, c, mc)
+    domains = {"connection": fits, "series": m <= SERIES_ARG_MAX, "quadrature": True}
     if method == "auto":
-        if m <= 0.5:
-            method = "series"
-        elif fits:
-            method = "connection"
-        else:
-            method = "series" if m <= SERIES_ARG_MAX else "quadrature"
+        method = next(route for route, admits in domains.items() if admits)
+    elif method not in domains:
+        raise ValueError(f"unknown method {method!r}; expected auto, series, "
+                         "connection, or quadrature")
+    elif not domains[method]:
+        need = f"<= {SERIES_ARG_MAX}" if method == "series" else "> 1/2 and terms that do not grow"
+        raise ValueError(f"{method} route requires k^q {need}, got k^q = {m:g} "
+                         f"for (p, q) = ({params.p:g}, {params.q:g})")
     if method == "series":
-        if m > SERIES_ARG_MAX:
-            raise ValueError(f"series route requires k^q <= {SERIES_ARG_MAX}, got {m:g}")
         half = 0.5 * pi_pq(params)
         r = hyp2f1(HypSeriesSpec(a, inv_q, c, m))
         value = half * r.value
         return EvalResult(value, half * r.abs_err + _rounding_err(value), "series")
     if method == "connection":
-        if not fits:
-            raise ValueError(
-                f"connection route requires k^q > 1/2 and terms that do not grow, "
-                f"got k^q = {m:g} for (p, q) = ({params.p:g}, {params.q:g})"
-            )
         # summed until the tail bound is below rounding: a few terms more
         r = hyp2f1(HypSeriesSpec(inv_ps, b_log, c, m, rel_tol=2.0**-53, arg_c=mc))
         head, scale = (1.0, -mc / (params.p * params.q)) if second_kind else (0.0, -inv_q)
@@ -86,18 +82,13 @@ def _complete(params: PQParams, k: float, method: str, tol: float, second_kind: 
         value = head + tail
         err = abs(scale) * r.abs_err + _rounding_err(tail) + _rounding_err(value)
         return EvalResult(value, err, "series")
-    if method == "quadrature":
-        q = params.q
-        t_exp = -1.0 / params.p
+    q, t_exp = params.q, -1.0 / params.p
 
-        def integrand(t: float, tc: float) -> float:
-            omt = _one_minus_pow(t, tc, q)
-            return omt**t_exp * (mc + m * omt) ** -a
+    def integrand(t: float, tc: float) -> float:
+        omt = _one_minus_pow(t, tc, q)
+        return omt**t_exp * (mc + m * omt) ** -a
 
-        return integrate_singular(integrand, tol, complement=True)
-    raise ValueError(
-        f"unknown method {method!r}; expected auto, series, connection, or quadrature"
-    )
+    return integrate_singular(integrand, tol, complement=True)
 
 
 def K_pq(params: PQParams, k: float, method: str = "auto", tol: float = 1e-12) -> EvalResult:
@@ -106,14 +97,14 @@ def K_pq(params: PQParams, k: float, method: str = "auto", tol: float = 1e-12) -
     Series route: (pi_pq/2) F(1/p*, 1/q; 1/p* + 1/q; k^q).  Connection route:
     -S_0(1/p*, 1/q; w) / q, the logarithmic series of A&S 15.3.10 in
     w = 1 - k^q.  Quadrature route: integral_0^1 (1 - t^q)^(-1/p)
-    (1 - k^q t^q)^(-1/p*) dt.  ``auto`` reads three rows: the series for
-    k^q <= 1/2; the connection series where w <= 1/2 and no term ratio of it
-    can exceed 1, max(1/p*, 1) max(1/q, 1) w <= 1; elsewhere the series up to
-    k^q = 0.99 and the integral beyond.  The connection route raises
-    ValueError outside that domain and never falls back; EvalResult.method
-    reports it as ``series``.  K equals pi_pq/2 at k = 0 and grows without
-    bound as k -> 1.  ``tol`` is the quadrature tolerance; both series keep
-    a fixed stopping rule.
+    (1 - k^q t^q)^(-1/p*) dt.  ``auto`` takes the first route whose domain
+    admits k: the connection series where w <= 1/2 and no term ratio of it
+    can exceed 1, max(1/p*, 1) max(1/q, 1) w <= 1; the series for
+    k^q <= 0.99; the quadrature.  A named route raises ValueError outside its
+    domain and never falls back; EvalResult.method reports the connection
+    route as ``series``.  K equals pi_pq/2 at k = 0 and grows without bound
+    as k -> 1.  ``tol`` is the quadrature tolerance; both series keep a
+    fixed stopping rule.
     """
     return _complete(params, k, method, tol, False)
 
@@ -124,8 +115,8 @@ def E_pq(params: PQParams, k: float, method: str = "auto", tol: float = 1e-12) -
     Series route: (pi_pq/2) F(-1/p, 1/q; 1/p* + 1/q; k^q).  Connection route:
     1 - (w / (p q)) S_1(1/p*, 1 + 1/q; w), the logarithmic series of A&S
     15.3.12 in w = 1 - k^q.  Quadrature route: integral_0^1
-    ((1 - k^q t^q) / (1 - t^q))^(1/p) dt.  ``auto`` reads the same three rows
-    as for K_pq, with the connection domain max(1/p*, 1) max((1 + 1/q)/2, 1)
+    ((1 - k^q t^q) / (1 - t^q))^(1/p) dt.  ``auto`` and the domains are as
+    for K_pq, with the connection domain max(1/p*, 1) max((1 + 1/q)/2, 1)
     w <= 1.  E equals pi_pq/2 at k = 0 and tends to 1 as k -> 1.  ``tol`` is
     as for K_pq.
     """

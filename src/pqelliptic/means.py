@@ -19,6 +19,7 @@ route; ``_mean_mp`` and ``_mean_kp`` report the route that ran.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,7 +51,7 @@ __all__ = [
 # p values this close to a removable point take the stated limit form
 _LIMIT_TOL = 1e-8
 
-_MP_METHODS = ("auto", "elliptic", "hyp_base", "hyp_quad", "integral", "nakamura")
+_MP_METHODS = ("auto", "elliptic", "hyp_base", "hyp_quad", "integral")
 _KP_METHODS = ("closed", "integral", "hyp_base", "hyp_quad")
 
 
@@ -74,26 +75,39 @@ def _normalized(a: float, b: float) -> tuple[float, float]:
     return scale, x
 
 
+def _pow2_scaled(a: float, b: float, e: int) -> tuple[float, float]:
+    """(a 2^-e, b 2^-e), both normal.  Exact: a mean of the scaled pair times
+    2^e keeps its bits wherever the unscaled form stays in range."""
+    u, v = math.ldexp(a, -e), math.ldexp(b, -e)
+    if not (min(u, v) >= sys.float_info.min and max(u, v) < math.inf):
+        raise ValueError(f"pair ratio of ({a!r}, {b!r}) is too wide for this mean")
+    return u, v
+
+
 def mean_log(a: float, b: float) -> float:
     """Logarithmic mean (a - b) / (ln a - ln b), equal to a when a = b.
 
-    Pairs within 1e-12 relative distance are treated as equal; elsewhere the
-    quotient is computed through log1p of the relative difference, which
-    keeps it stable for nearby arguments.
+    Pairs within 1e-12 relative distance are treated as equal; elsewhere,
+    with hi >= lo the pair in order, the denominator is log1p((hi - lo)/lo),
+    stable for nearby arguments, or ln hi - ln lo where that ratio overflows.
     """
     _check_pair(a, b)
-    if abs(a - b) <= 1e-12 * max(a, b):
+    hi, lo = max(a, b), min(a, b)
+    if hi - lo <= 1e-12 * hi:
         return a
-    return (a - b) / math.log1p((a - b) / b)
+    rel = (hi - lo) / lo
+    return (hi - lo) / (math.log1p(rel) if math.isfinite(rel) else math.log(hi) - math.log(lo))
 
 
 def mean_ag(a: float, b: float) -> float:
-    """Arithmetic-geometric mean: the common limit of the coupled iteration
-    a' = (a+b)/2, b' = sqrt(ab)."""
+    """Arithmetic-geometric mean: the limit of a' = (a+b)/2, b' = sqrt(ab), run
+    with max(a, b) scaled into [1/2, 1); max/min past ~2^1022 raises ValueError."""
     _check_pair(a, b)
+    e = math.frexp(max(a, b))[1]  # every iterate stays below 1: ab cannot overflow
+    a, b = _pow2_scaled(a, b, e)
     while abs(a - b) > 1e-15 * a:
         a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return 0.5 * (a + b)
+    return math.ldexp(0.5 * (a + b), e)
 
 
 def c_p(p: float) -> float:
@@ -167,22 +181,24 @@ def _hyp_quad(a: float, b: float, z: float) -> EvalResult:
 
 
 def _recip(x: float, p: float, a: float, method: str, integral: Callable, tol: float) -> EvalResult:
-    """1/mean(1, x) = F(a, 1/p; 2a; 1 - x^p), with a = 1/p for M_p and a = 1
-    for K_p, by the named series route or by the mean's ``integral``.
-
-    ``auto`` takes the base series for 1 - x^p <= 0.9 and the transformed one
-    beyond; ``nakamura`` is an alias of ``hyp_base``.  A series route whose
-    argument exceeds SERIES_ARG_MAX runs the integral instead.
-    """
-    if method == "integral":
-        return integral(x, p, tol)
+    """1/mean(1, x) = F(a, 1/p; 2a; z), z = 1 - x^p, with a = 1/p for M_p and
+    a = 1 for K_p, by the named route only: ``hyp_base`` sums the series in
+    z, ``hyp_quad`` the one in (z/(2-z))^2, each raising ValueError where its
+    argument exceeds SERIES_ARG_MAX, and ``integral`` is the mean's integral.
+    ``auto`` (M_p) is ``hyp_base`` for z <= 0.9, else ``hyp_quad`` inside
+    its domain, else ``integral``."""
     z = _one_minus_xp(x, p)
+    series = {"hyp_base": (_hyp_base, z), "hyp_quad": (_hyp_quad, _quad_arg(z))}
     if method == "auto":
         method = "hyp_base" if z <= 0.9 else "hyp_quad"
-    series, arg = (_hyp_quad, _quad_arg(z)) if method == "hyp_quad" else (_hyp_base, z)
-    if arg > SERIES_ARG_MAX:
+        method = method if series[method][1] <= SERIES_ARG_MAX else "integral"
+    if method == "integral":
         return integral(x, p, tol)
-    return series(a, 1.0 / p, z)
+    route, arg = series[method]
+    if arg > SERIES_ARG_MAX:
+        raise ValueError(f"{method} route requires a series argument <= {SERIES_ARG_MAX}, "
+                         f"got {arg!r} at 1 - x^p = {z!r}")
+    return route(a, 1.0 / p, z)
 
 
 def _mean_mp(a: float, b: float, p: float, method: str = "auto", tol: float = 1e-12) -> EvalResult:
@@ -195,7 +211,9 @@ def _mean_mp(a: float, b: float, p: float, method: str = "auto", tol: float = 1e
     if a == b:
         return _closed_form(a)  # exact fixed point for every p
     if p <= _LIMIT_TOL:
-        return _closed_form(math.sqrt(a * b))
+        e = (math.frexp(a)[1] + math.frexp(b)[1]) // 2  # 2^e near sqrt(ab)
+        u, v = _pow2_scaled(a, b, e)
+        return _closed_form(math.ldexp(math.sqrt(u * v), e))
     if p == 1.0:
         return _closed_form(mean_log(a, b))
     scale, x = _normalized(a, b)
@@ -212,27 +230,22 @@ def mean_mp(a: float, b: float, p: float, method: str = "auto", tol: float = 1e-
     """Interpolating mean M_p for finite p >= 0.
 
     p = 0 gives sqrt(ab) and p = 1 the logarithmic mean, both as stated
-    limits; elsewhere the pair is normalized to (1, x), the reciprocal
-    1/M_p(1, x) is evaluated by the selected representation and the result is
-    rescaled.  The four representations are ``integral``, ``elliptic``,
-    ``hyp_base`` and ``hyp_quad``; ``nakamura`` (the product-form series) is
-    an alias of ``hyp_base``, whose terms it equals.  Series representations
-    whose argument exceeds 0.99 fall back to the half-line integral.
-    ``elliptic`` is not independent of ``hyp_base`` wherever K_{p*,p} takes
-    its series in k^p = 1 - x^p (k^p <= 1/2, or where its connection series
-    would have growing terms): that series is F(1/p, 1/p; 2/p; k^p), the
-    base series itself.  Elsewhere K_{p*,p} sums its connection series in
-    x^p, an independent route.  ``tol`` is the quadrature tolerance; series routes
-    keep hyp2f1's fixed stopping rule.  ``_mean_mp`` also returns the kind of
-    route that actually ran (``quadrature`` after a fallback) and the
-    kernel's own error estimate.
+    limits; elsewhere the pair is normalized to (1, x) and 1/M_p(1, x) is
+    evaluated by the selected representation: ``integral``, ``elliptic``,
+    ``hyp_base`` or ``hyp_quad``.  Each runs only itself; a series route
+    whose argument exceeds 0.99 raises ValueError.  ``auto`` takes
+    ``hyp_base`` for 1 - x^p <= 0.9, then ``hyp_quad`` inside its domain,
+    then the integral.  ``elliptic`` sums the base series itself wherever
+    K_{p*,p} takes its series in k^p = 1 - x^p (k^p <= 1/2, or where its
+    connection terms would grow), and its independent connection series in
+    x^p elsewhere.  ``tol`` is the quadrature tolerance; series routes keep
+    hyp2f1's fixed stopping rule.  ``_mean_mp`` also returns the kind of
+    route that ran and the kernel's own error estimate.
     """
     return _mean_mp(a, b, p, method, tol).value
 
 
-def _mean_kp(
-    a: float, b: float, p: float, method: str = "closed", tol: float = 1e-12
-) -> EvalResult:
+def _mean_kp(a: float, b: float, p: float, method: str = "closed", tol: float = 1e-12) -> EvalResult:
     """K_p(a, b) with the route that ran and its error; see ``mean_kp``."""
     _check_args(a, b, p, "mean_kp")
     if method not in _KP_METHODS:
@@ -242,7 +255,9 @@ def _mean_kp(
     if a == b:
         return _closed_form(a)  # exact fixed point for every p
     if abs(p) <= _LIMIT_TOL:
-        return _closed_form(a * b / mean_log(a, b))
+        e = (math.frexp(a)[1] + math.frexp(b)[1]) // 2  # 2^e near sqrt(ab)
+        u, v = _pow2_scaled(a, b, e)
+        return _closed_form(math.ldexp(u * v / mean_log(u, v), e))
     if abs(p - 1.0) <= _LIMIT_TOL:
         return _closed_form(mean_log(a, b))
     scale, x = _normalized(a, b)
@@ -261,10 +276,10 @@ def mean_kp(a: float, b: float, p: float, method: str = "closed", tol: float = 1
     The closed form is valid for every finite real p, with the stated limits
     K_0 = ab/L(a, b) and K_1 = L(a, b) taking over within 1e-8 of the
     removable points.  The integral and hypergeometric representations
-    require p > 0.  ``tol`` is the quadrature tolerance; series routes keep
-    hyp2f1's fixed stopping rule.
-    ``_mean_kp`` also returns the kind of route that actually ran
-    (``quadrature`` after a fallback) and the kernel's own error estimate.
+    require p > 0, and a series route raises ValueError where its argument
+    exceeds 0.99.  ``tol`` is the quadrature tolerance; series routes keep
+    hyp2f1's fixed stopping rule.  ``_mean_kp`` also returns the kind of
+    route that actually ran and the kernel's own error estimate.
     """
     return _mean_kp(a, b, p, method, tol).value
 

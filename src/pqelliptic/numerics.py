@@ -30,8 +30,9 @@ __all__ = [
 ]
 
 # Hypergeometric arguments above this are considered too close to the
-# logarithmic singularity at 1; callers switch to an integral route instead.
+# logarithmic singularity at 1; a series route beyond it raises ValueError.
 SERIES_ARG_MAX = 0.99
+_MAX_TERMS = 1_000_000  # terms a series may take before it raises ConvergenceError
 
 
 class ConvergenceError(RuntimeError):
@@ -163,7 +164,6 @@ class HypSeriesSpec:
     c: float
     arg: float
     rel_tol: float = 1e-14
-    max_terms: int = 1_000_000
     arg_c: float | None = None
 
     def __post_init__(self) -> None:
@@ -187,8 +187,6 @@ class HypSeriesSpec:
                 )
         if not self.rel_tol > 0.0:
             raise ValueError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
 
 
 def hyp2f1(spec: HypSeriesSpec) -> EvalResult:
@@ -209,7 +207,7 @@ def hyp2f1(spec: HypSeriesSpec) -> EvalResult:
     total = 1.0
     term = 1.0
     small = 0
-    for n in range(spec.max_terms):
+    for n in range(_MAX_TERMS):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * x
         if abs(term) <= spec.rel_tol * abs(total):
             small += 1
@@ -219,7 +217,7 @@ def hyp2f1(spec: HypSeriesSpec) -> EvalResult:
             small = 0
         total += term
     raise ConvergenceError(
-        f"hypergeometric series did not settle within {spec.max_terms} terms "
+        f"hypergeometric series did not settle within {_MAX_TERMS} terms "
         f"(a={a:g}, b={b:g}, c={c:g}, arg={x:g})"
     )
 
@@ -255,7 +253,7 @@ def _log_series(spec: HypSeriesSpec) -> EvalResult:
     size_w = abs(log_w)
     cw = 1.0  # (a)_n (b)_n / (n! (n+m)!) w^n
     total = peak = mass = 0.0
-    for n in range(spec.max_terms):
+    for n in range(_MAX_TERMS):
         term = cw * bracket
         total += term
         if abs(term) > peak:
@@ -280,7 +278,7 @@ def _log_series(spec: HypSeriesSpec) -> EvalResult:
             eps = sys.float_info.epsilon
             return EvalResult(total, tail + eps * ((n + 1) * peak + constants), "series")
     raise ConvergenceError(
-        f"connection series did not settle within {spec.max_terms} terms "
+        f"connection series did not settle within {_MAX_TERMS} terms "
         f"(a={a:g}, b={b:g}, c={spec.c:g}, 1 - arg={w:g})"
     )
 

@@ -67,8 +67,12 @@ def _eval_fields(capsys, args):
 
 
 def test_eval_mean_prints_route_that_ran(capsys):
+    # a named series route past 0.99 runs nothing else: exit 1, no value
+    hyp_base = ["--fn", "Mp", "--a", "1", "--b", "0.001", "--p", "3", "--method", "hyp_base"]
+    assert main(["eval"] + hyp_base) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: hyp_base route requires")
     cases = [
-        (["--b", "0.001", "--p", "3", "--method", "hyp_base"], "quadrature"),  # past 0.99
         (["--b", "0.5", "--p", "1e-9"], "closed_form"),  # the p -> 0 limit
         (["--b", "0.5", "--p", "3", "--method", "elliptic"], "series"),  # K_pq series
         (["--b", "1e-5", "--p", "2"], "quadrature"),  # auto past 0.99
@@ -80,6 +84,16 @@ def test_eval_mean_prints_route_that_ran(capsys):
     assert _eval_fields(capsys, ["--fn", "Kp", "--a", "1", "--b", "0.5", "--p", "3"])[2] == (
         "method=closed_form"
     )
+
+
+def test_eval_ag_at_extreme_scale(capsys):
+    # sqrt(ab) underflowed to 0 here, and eval printed 0 with exit 0
+    mpmath = pytest.importorskip("mpmath")
+    v, _, method = _eval_fields(capsys, ["--fn", "AG", "--a", "1e-300", "--b", "3e-300"])
+    with mpmath.workdps(40):
+        ref = mpmath.agm(mpmath.mpf(1e-300), mpmath.mpf(3e-300))
+        assert abs(mpmath.mpf(v) / ref - 1) <= 1e-14
+    assert method == "method=closed_form"
 
 
 def test_eval_mean_honours_tol(capsys):

@@ -20,8 +20,28 @@ from pqelliptic.means import (
 )
 from pqelliptic.numerics import HypSeriesSpec, hyp2f1, integrate_halfline
 
-MP_METHODS = ("elliptic", "hyp_base", "hyp_quad", "integral", "nakamura")
+MP_METHODS = ("elliptic", "hyp_base", "hyp_quad", "integral")
 KP_METHODS = ("closed", "integral", "hyp_base", "hyp_quad")
+
+
+def _recips_that_ran(mean, p, x, methods):
+    """1/mean(1, x) by each method whose domain admits the point.
+
+    The series routes sum in z = 1 - x^p (``hyp_base``) and in
+    (z/(2 - z))^2 (``hyp_quad``); where that argument exceeds 0.99 the route
+    must raise ValueError.  At least two distinct routes must run.
+    """
+    z = -math.expm1(p * math.log(x))
+    args = {"hyp_base": z, "hyp_quad": (z / (2.0 - z)) ** 2}
+    recips = {}
+    for m in methods:
+        if args.get(m, 0.0) > 0.99:
+            with pytest.raises(ValueError, match=f"^{m} route requires"):
+                mean(1.0, x, p, m)
+        else:
+            recips[m] = 1.0 / mean(1.0, x, p, m)
+    assert len(recips) >= 2, (mean.__name__, p, x, recips)
+    return list(recips.values())
 
 
 # ----------------------------------------------------------------- mean_log
@@ -112,7 +132,7 @@ def test_mp_recovers_agm():
 def test_mp_methods_agree():
     for p in (0.25, 0.5, 1.5, 2.0, 3.0, 5.0):
         for x in (0.1, 0.5, 0.9):
-            recips = [1.0 / mean_mp(1.0, x, p, m) for m in MP_METHODS]
+            recips = _recips_that_ran(mean_mp, p, x, MP_METHODS)
             spread = max(recips) - min(recips)
             assert spread <= 1e-9, (p, x, recips)
 
@@ -147,7 +167,7 @@ def test_mp_nonfinite_p_rejected():
 
 
 def test_mp_result_names_the_route_that_ran():
-    # tests/test_cli.py checks the fallback, limit and elliptic labels end to end
+    # tests/test_cli.py checks the integral, limit and elliptic labels end to end
     assert _mean_mp(1.0, 0.5, 3.0, "hyp_quad").method == "series"
     assert _mean_mp(1.0, 0.5, 3.0, "integral").method == "quadrature"
     for method in ("auto",) + MP_METHODS:
@@ -182,7 +202,7 @@ def test_kp_negative_p_closed_form():
 def test_kp_methods_agree():
     for p in (0.25, 0.5, 1.5, 2.0, 3.0, 5.0):
         for x in (0.1, 0.5, 0.9):
-            recips = [1.0 / mean_kp(1.0, x, p, m) for m in KP_METHODS]
+            recips = _recips_that_ran(mean_kp, p, x, KP_METHODS)
             spread = max(recips) - min(recips)
             assert spread <= 1e-9, (p, x, recips)
 
@@ -263,17 +283,14 @@ def test_quad_transform_residuals():
 
 def test_representation_agreement_is_the_transform():
     # base and transformed series agree for both families across the p/x grid
+    # wherever each runs; the mean's other routes carry the points where the
+    # series arguments exceed 0.99
     for p in (0.25, 0.5, 1.5, 2.0, 3.0, 5.0):
         for i in range(1, 10):
             x = i / 10.0
-            d_m = abs(
-                1.0 / mean_mp(1.0, x, p, "hyp_base") - 1.0 / mean_mp(1.0, x, p, "hyp_quad")
-            )
-            d_k = abs(
-                1.0 / mean_kp(1.0, x, p, "hyp_base") - 1.0 / mean_kp(1.0, x, p, "hyp_quad")
-            )
-            assert d_m <= 1e-10, ("Mp", p, x)
-            assert d_k <= 1e-10, ("Kp", p, x)
+            for tag, mean, methods in (("Mp", mean_mp, MP_METHODS), ("Kp", mean_kp, KP_METHODS)):
+                recips = _recips_that_ran(mean, p, x, methods)
+                assert max(recips) - min(recips) <= 1e-10, (tag, p, x)
 
 
 def test_third_parameter_comparison_drives_ordering():
@@ -298,11 +315,71 @@ def test_log_mean_hypergeometric_bridge():
         assert abs(f * mean_log(1.0, x) - 1.0) <= 1e-10
 
 
-def test_nakamura_matches_base_series():
-    # nakamura is an alias of hyp_base, so the two agree exactly
-    for p in (0.5, 2.0, 3.0):
-        for x in (0.2, 0.5, 0.8):
-            assert mean_mp(1.0, x, p, "nakamura") == mean_mp(1.0, x, p, "hyp_base"), (p, x)
+# ------------------------------------------------------ extreme-scale pairs
+
+# closed forms on pairs whose products, sums or relative differences leave
+# the double range; mpmath gives the reference
+EXTREME_CASES = [
+    (mean_ag, (1e-300, 3e-300), "agm"),
+    (mean_ag, (1e308, 1e307), "agm"),
+    (mean_log, (1e300, 1e-300), "log"),
+    (mean_log, (1e-20, 1.0), "log"),
+    (mean_log, (1e-10, 1.0), "log"),
+    (lambda a, b: mean_mp(a, b, 0.0), (1e-300, 3e-300), "geometric"),
+    (lambda a, b: mean_kp(a, b, 0.0), (1e-300, 3e-300), "k0"),
+    (lambda a, b: mean_kp(a, b, 0.0), (1e200, 3e200), "k0"),
+    (lambda a, b: mean_kp(a, b, 0.0), (1e300, 1e-300), "k0"),
+    (lambda a, b: mean_mp(a, b, 0.0), (1.7e308, 1e-300), "geometric"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, pair, kind",
+    EXTREME_CASES,
+    ids=["ag_tiny", "ag_huge", "log_wide", "log_small_first", "log_small_first_1e-10",
+         "mp0_tiny", "kp0_tiny", "kp0_huge", "kp0_wide", "mp0_wide"],
+)
+def test_closed_forms_at_extreme_scales(fn, pair, kind):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a, b = (mpmath.mpf(v) for v in pair)
+        lm = (a - b) / (mpmath.log(a) - mpmath.log(b))
+        ref = {
+            "agm": lambda: mpmath.agm(a, b),
+            "log": lambda: lm,
+            "geometric": lambda: mpmath.sqrt(a * b),
+            "k0": lambda: a * b / lm,
+        }[kind]()
+        v = fn(*pair)
+        assert math.isfinite(v) and v > 0.0
+        assert abs(mpmath.mpf(v) / ref - 1) <= 1e-14
+
+
+def test_agm_refuses_a_ratio_past_the_double_range():
+    # the smaller term would underflow once max(a, b) is scaled below 1; the
+    # unscaled iteration overflowed to inf here
+    with pytest.raises(ValueError, match="too wide"):
+        mean_ag(1e300, 1e-300)
+
+
+def test_closed_forms_in_range_are_unchanged():
+    # scaling by a power of two is exact: in range, the unscaled formulas
+    # give the same bits (the logarithmic mean with the larger term first)
+    def agm(a, b):
+        while abs(a - b) > 1e-15 * a:
+            a, b = 0.5 * (a + b), math.sqrt(a * b)
+        return 0.5 * (a + b)
+
+    pairs = [(1.0, 0.3), (2.5, 7.0), (1e-5, 3e-3), (1e100, 2e99), (3e-150, 1e-150), (0.7, 0.1),
+             (1e150, 1e-150)]
+    for a, b in pairs:
+        hi, lo = max(a, b), min(a, b)
+        lm = (hi - lo) / math.log1p((hi - lo) / lo)
+        assert mean_log(b, a) == mean_log(a, b), (a, b)
+        assert mean_log(a, b) == lm, (a, b)
+        assert mean_ag(a, b) == agm(a, b), (a, b)
+        assert mean_mp(a, b, 0.0) == math.sqrt(a * b), (a, b)
+        assert mean_kp(a, b, 0.0) == a * b / lm, (a, b)
 
 
 # ----------------------------------------------------------------- ordering
