@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 
-from .gentrig import PQParams, pi_pq
+from .gentrig import PQParams, _pi_pq_rel, pi_pq
 from .numerics import (
     SERIES_ARG_MAX,
     EvalResult,
     HypSeriesSpec,
     _connection_domain,
     _one_minus_pow,
+    _pick_route,
     _pow_pair,
     _rounding_err,
     hyp2f1,
@@ -34,47 +35,44 @@ def _check_modulus(k: float) -> None:
         raise ValueError(f"modulus k must lie in [0, 1), got {k!r}")
 
 
-def _complete(params: PQParams, k: float, method: str, tol: float, second_kind: bool) -> EvalResult:
-    """Shared body of K_pq and E_pq.  Both see k only through m = k^q and
-    its complement w = 1 - k^q, taken together from ``_pow_pair``.
+_NEED = {"connection": "> 1/2 and terms that do not grow", "series": f"<= {SERIES_ARG_MAX}"}
+
+
+def _complete(params: PQParams, m: float, mc: float, method: str, tol: float,
+              second_kind: bool) -> EvalResult:
+    """Shared body of K_pq and E_pq at m = k^q and its exact complement mc.
 
     With a = 1/p* for K and a = -1/p for E, and c = 1/p* + 1/q:
 
     - ``series``: (pi_pq/2) F(a, 1/q; c; m);
-    - ``connection``: K = -S_0(1/p*, 1/q; w) / q and
-      E = 1 - (w / (p q)) S_1(1/p*, 1 + 1/q; w), the sums of A&S 15.3.10 for
-      F(1/p*, 1/q; c; m) and of 15.3.12 for F(1/p*, 1 + 1/q; c; m), which is
-      E / (w pi_pq/2) by Euler's transformation; every gamma factor cancels
-      against pi_pq/2;
-    - ``quadrature``: integral_0^1 (1 - t^q)^(-1/p) (1 - m t^q)^(-a) dt.
+    - ``connection``: K = -S_0(1/p*, 1/q; mc) / q and
+      E = 1 - (mc / (p q)) S_1(1/p*, 1 + 1/q; mc), the sums of A&S 15.3.10
+      for F(1/p*, 1/q; c; m) and of 15.3.12 for F(1/p*, 1 + 1/q; c; m),
+      which is E / (mc pi_pq/2) by Euler's transformation; every gamma factor
+      cancels against pi_pq/2;
+    - ``quadrature``: integral_0^1 (1 - t^q)^(-1/p) (mc + m (1 - t^q))^(-a) dt.
 
-    Each domain is evaluated once; ``auto`` is the first route that admits m:
-    connection (m > 1/2 and terms that do not grow), series
-    (m <= SERIES_ARG_MAX), quadrature.  A named route outside raises ValueError.
+    ``_pick_route`` chooses: ``auto`` is the first of connection (m > 1/2
+    and terms that do not grow), series (m <= SERIES_ARG_MAX) and quadrature.
     """
-    _check_modulus(k)
-    m, mc = _pow_pair(k, params.q)
     inv_ps, inv_q = 1.0 / params.p_star, 1.0 / params.q
     c = inv_ps + inv_q
     a = -1.0 / params.p if second_kind else inv_ps
     b_log = 1.0 + inv_q if second_kind else inv_q
     fits = m > 0.5 and _connection_domain(inv_ps, b_log, c, mc)
-    domains = {"connection": fits, "series": m <= SERIES_ARG_MAX, "quadrature": True}
-    if method == "auto":
-        method = next(route for route, admits in domains.items() if admits)
-    elif method not in domains:
-        raise ValueError(f"unknown method {method!r}; expected auto, series, "
-                         "connection, or quadrature")
-    elif not domains[method]:
-        need = f"<= {SERIES_ARG_MAX}" if method == "series" else "> 1/2 and terms that do not grow"
-        raise ValueError(f"{method} route requires k^q {need}, got k^q = {m:g} "
-                         f"for (p, q) = ({params.p:g}, {params.q:g})")
-    if method == "series":
-        half = 0.5 * pi_pq(params)
+    route = _pick_route(
+        method,
+        {"connection": fits, "series": m <= SERIES_ARG_MAX, "quadrature": True},
+        lambda r: f"k^q {_NEED[r]}, got k^q = {m:g} for (p, q) = ({params.p:g}, {params.q:g})",
+    )
+    if route == "series":
+        pi, pi_rel = _pi_pq_rel(params)
+        half = 0.5 * pi
         r = hyp2f1(HypSeriesSpec(a, inv_q, c, m))
         value = half * r.value
-        return EvalResult(value, half * r.abs_err + _rounding_err(value), "series")
-    if method == "connection":
+        err = half * r.abs_err + _rounding_err(value) + pi_rel * abs(value)
+        return EvalResult(value, err, "series")
+    if route == "connection":
         # summed until the tail bound is below rounding: a few terms more
         r = hyp2f1(HypSeriesSpec(inv_ps, b_log, c, m, rel_tol=2.0**-53, arg_c=mc))
         head, scale = (1.0, -mc / (params.p * params.q)) if second_kind else (0.0, -inv_q)
@@ -88,7 +86,7 @@ def _complete(params: PQParams, k: float, method: str, tol: float, second_kind: 
         omt = _one_minus_pow(t, tc, q)
         return omt**t_exp * (mc + m * omt) ** -a
 
-    return integrate_singular(integrand, tol, complement=True)
+    return integrate_singular(integrand, tol)
 
 
 def K_pq(params: PQParams, k: float, method: str = "auto", tol: float = 1e-12) -> EvalResult:
@@ -97,16 +95,18 @@ def K_pq(params: PQParams, k: float, method: str = "auto", tol: float = 1e-12) -
     Series route: (pi_pq/2) F(1/p*, 1/q; 1/p* + 1/q; k^q).  Connection route:
     -S_0(1/p*, 1/q; w) / q, the logarithmic series of A&S 15.3.10 in
     w = 1 - k^q.  Quadrature route: integral_0^1 (1 - t^q)^(-1/p)
-    (1 - k^q t^q)^(-1/p*) dt.  ``auto`` takes the first route whose domain
-    admits k: the connection series where w <= 1/2 and no term ratio of it
-    can exceed 1, max(1/p*, 1) max(1/q, 1) w <= 1; the series for
+    (1 - k^q t^q)^(-1/p*) dt, each given the exact pair (k^q, w).  ``auto``
+    takes the first route whose domain admits the point, the one rule of
+    every quantity: the connection series where w <= 1/2 and no term ratio
+    of it can exceed 1, max(1/p*, 1) max(1/q, 1) w <= 1; the series for
     k^q <= 0.99; the quadrature.  A named route raises ValueError outside its
     domain and never falls back; EvalResult.method reports the connection
     route as ``series``.  K equals pi_pq/2 at k = 0 and grows without bound
     as k -> 1.  ``tol`` is the quadrature tolerance; both series keep a
     fixed stopping rule.
     """
-    return _complete(params, k, method, tol, False)
+    _check_modulus(k)
+    return _complete(params, *_pow_pair(k, params.q), method, tol, False)
 
 
 def E_pq(params: PQParams, k: float, method: str = "auto", tol: float = 1e-12) -> EvalResult:
@@ -115,12 +115,18 @@ def E_pq(params: PQParams, k: float, method: str = "auto", tol: float = 1e-12) -
     Series route: (pi_pq/2) F(-1/p, 1/q; 1/p* + 1/q; k^q).  Connection route:
     1 - (w / (p q)) S_1(1/p*, 1 + 1/q; w), the logarithmic series of A&S
     15.3.12 in w = 1 - k^q.  Quadrature route: integral_0^1
-    ((1 - k^q t^q) / (1 - t^q))^(1/p) dt.  ``auto`` and the domains are as
-    for K_pq, with the connection domain max(1/p*, 1) max((1 + 1/q)/2, 1)
-    w <= 1.  E equals pi_pq/2 at k = 0 and tends to 1 as k -> 1.  ``tol`` is
-    as for K_pq.
+    ((1 - k^q t^q) / (1 - t^q))^(1/p) dt.  The pair, the route rule and the
+    domains are as for K_pq, with the connection domain
+    max(1/p*, 1) max((1 + 1/q)/2, 1) w <= 1.  E equals pi_pq/2 at k = 0 and
+    tends to 1 as k -> 1.  ``tol`` is as for K_pq.
     """
-    return _complete(params, k, method, tol, True)
+    _check_modulus(k)
+    return _complete(params, *_pow_pair(k, params.q), method, tol, True)
+
+
+def _k_and_e(params: PQParams, m: float, mc: float) -> tuple[float, float]:
+    """(K, E) by ``auto`` at the pair (m, mc)."""
+    return tuple(_complete(params, m, mc, "auto", 1e-12, e).value for e in (False, True))
 
 
 def dK_dk(params: PQParams, k: float) -> float:
@@ -134,8 +140,9 @@ def dK_dk(params: PQParams, k: float) -> float:
         if params.q > 1.0:
             return 0.0
         raise ValueError("dK_dk at k = 0 requires q > 1")
-    mc = _pow_pair(k, params.q)[1]
-    return (E_pq(params, k).value - mc * K_pq(params, k).value) / (k * mc)
+    m, mc = _pow_pair(k, params.q)
+    kv, ev = _k_and_e(params, m, mc)
+    return (ev - mc * kv) / (k * mc)
 
 
 def dE_dk(params: PQParams, k: float) -> float:
@@ -143,9 +150,8 @@ def dE_dk(params: PQParams, k: float) -> float:
     _check_modulus(k)
     if k == 0.0:
         raise ValueError("dE_dk formula is singular at k = 0")
-    kc = K_pq(params, k).value
-    ec = E_pq(params, k).value
-    return params.q * (ec - kc) / (params.p * k)
+    kv, ev = _k_and_e(params, *_pow_pair(k, params.q))
+    return params.q * (ev - kv) / (params.p * k)
 
 
 def legendre_residual(p: float, q: float, k: float) -> float:
@@ -154,19 +160,17 @@ def legendre_residual(p: float, q: float, k: float) -> float:
     Returns  p E_{p,q}(k^{1/q}) K_{q,p}(k^{1/p})
            - q K_{p,q}(k^{1/q}) E_{q,p}(k^{1/p})
            - (p - q) pi_{p,q} pi_{q,p} / 4,
-    which vanishes identically for p, q in (1, inf) and k in [0, 1).
+    which vanishes identically for p, q in (1, inf) and k in [0, 1).  All
+    four integrals have m = k, so each takes the exact pair (k, 1 - k).
     """
     if not (p > 1.0 and q > 1.0 and math.isfinite(p) and math.isfinite(q)):
         raise ValueError(f"the relation requires p, q in (1, inf), got ({p!r}, {q!r})")
     _check_modulus(k)
     par_pq = PQParams(p, q)
     par_qp = PQParams(q, p)
-    m_q = k ** (1.0 / q)
-    m_p = k ** (1.0 / p)
-    bracket = p * E_pq(par_pq, m_q).value * K_pq(par_qp, m_p).value - q * K_pq(
-        par_pq, m_q
-    ).value * E_pq(par_qp, m_p).value
-    return bracket - 0.25 * (p - q) * pi_pq(par_pq) * pi_pq(par_qp)
+    k_pq, e_pq = _k_and_e(par_pq, k, 1.0 - k)
+    k_qp, e_qp = _k_and_e(par_qp, k, 1.0 - k)
+    return p * e_pq * k_qp - q * k_pq * e_qp - 0.25 * (p - q) * pi_pq(par_pq) * pi_pq(par_qp)
 
 
 def moment_sin_pq(params: PQParams, n: int) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .numerics import _one_minus_pow, _pow_pair, beta, integrate_singular, invert_monotone
+from .numerics import _beta_rel, _one_minus_pow, _pow_pair, integrate_singular, invert_monotone
 
 __all__ = ["PQParams", "arcsin_pq", "cos_pq", "pi_pq", "sin_pq", "tan_pq"]
 
@@ -43,7 +43,13 @@ class PQParams:
 
 def pi_pq(params: PQParams) -> float:
     """Half-period constant pi_pq = (2/q) B(1/p*, 1/q), i.e. 2 arcsin_pq(1)."""
-    return (2.0 / params.q) * beta(1.0 / params.p_star, 1.0 / params.q)
+    return _pi_pq_rel(params)[0]
+
+
+def _pi_pq_rel(params: PQParams) -> tuple[float, float]:
+    """pi_pq and the relative rounding error of its beta function."""
+    b, rel = _beta_rel(1.0 / params.p_star, 1.0 / params.q)
+    return (2.0 / params.q) * b, rel
 
 
 def arcsin_pq(params: PQParams, x: float, tol: float = 1e-13) -> float:
@@ -64,7 +70,7 @@ def arcsin_pq(params: PQParams, x: float, tol: float = 1e-13) -> float:
         # t = x s, so 1 - t^q = (1 - x^q) + x^q (1 - s^q)
         return (mc + m * _one_minus_pow(s, sc, q)) ** neg_inv_p
 
-    return x * integrate_singular(integrand, tol, complement=True).value
+    return x * integrate_singular(integrand, tol).value
 
 
 def sin_pq(params: PQParams, theta: float, tol: float = 1e-12) -> float:

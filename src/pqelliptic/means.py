@@ -31,6 +31,7 @@ from .numerics import (
     HypSeriesSpec,
     _closed_form,
     _one_minus_xp,
+    _pick_route,
     beta,
     hyp2f1,
     integrate_halfline,
@@ -101,8 +102,12 @@ def mean_log(a: float, b: float) -> float:
 
 def mean_ag(a: float, b: float) -> float:
     """Arithmetic-geometric mean: the limit of a' = (a+b)/2, b' = sqrt(ab), run
-    with max(a, b) scaled into [1/2, 1); max/min past ~2^1022 raises ValueError."""
+    with max(a, b) scaled into [1/2, 1).  Where min/max is too small for the
+    scaled min to stay normal (past ~2^-1022), steps with b' = sqrt(a) sqrt(b)
+    come first: each takes the ratio r to about 2 sqrt(r)."""
     _check_pair(a, b)
+    while math.ldexp(min(a, b), -math.frexp(max(a, b))[1]) < sys.float_info.min:
+        a, b = 0.5 * a + 0.5 * b, math.sqrt(a) * math.sqrt(b)
     e = math.frexp(max(a, b))[1]  # every iterate stays below 1: ab cannot overflow
     a, b = _pow2_scaled(a, b, e)
     while abs(a - b) > 1e-15 * a:
@@ -159,7 +164,7 @@ def _recip_kp_integral(x: float, p: float, tol: float) -> EvalResult:
     def f(s: float, sc: float) -> float:
         return (sc + xp * s) ** neg_inv_p
 
-    return integrate_singular(f, tol, complement=True)
+    return integrate_singular(f, tol)
 
 
 def _hyp_base(a: float, b: float, z: float) -> EvalResult:
@@ -173,32 +178,37 @@ def _quad_arg(z: float) -> float:
 
 
 def _hyp_quad(a: float, b: float, z: float) -> EvalResult:
-    """F(a, b; 2a; z) by the quadratic transformation of the module docstring."""
+    """F(a, b; 2a; z) by the quadratic transformation of the module docstring.
+
+    b = 1/p may be huge, and y^(-b) multiplies the rounding of y = 1 - z/2 by
+    b, so the prefactor is y^(-b) times the correction exp(-b log1p(-d)) for
+    that rounding, 1 - z/2 = y (1 - d); 1 - y and z/2 - (1 - y) are exact.
+    """
+    y = 1.0 - 0.5 * z
+    d = (0.5 * z - (1.0 - y)) / y
     return _scaled(
-        (1.0 - 0.5 * z) ** (-b),
+        y**-b * math.exp(-b * math.log1p(-d)),
         hyp2f1(HypSeriesSpec(0.5 * b, 0.5 * (b + 1.0), a + 0.5, _quad_arg(z))),
     )
 
 
 def _recip(x: float, p: float, a: float, method: str, integral: Callable, tol: float) -> EvalResult:
     """1/mean(1, x) = F(a, 1/p; 2a; z), z = 1 - x^p, with a = 1/p for M_p and
-    a = 1 for K_p, by the named route only: ``hyp_base`` sums the series in
-    z, ``hyp_quad`` the one in (z/(2-z))^2, each raising ValueError where its
-    argument exceeds SERIES_ARG_MAX, and ``integral`` is the mean's integral.
-    ``auto`` (M_p) is ``hyp_base`` for z <= 0.9, else ``hyp_quad`` inside
-    its domain, else ``integral``."""
+    a = 1 for K_p, by the route ``_pick_route`` chooses: ``auto`` (M_p only)
+    is the first of ``hyp_quad`` (the series in (z/(2-z))^2), ``hyp_base``
+    (the series in z), each admitting arguments up to SERIES_ARG_MAX, and
+    ``integral``, the mean's integral."""
     z = _one_minus_xp(x, p)
-    series = {"hyp_base": (_hyp_base, z), "hyp_quad": (_hyp_quad, _quad_arg(z))}
-    if method == "auto":
-        method = "hyp_base" if z <= 0.9 else "hyp_quad"
-        method = method if series[method][1] <= SERIES_ARG_MAX else "integral"
-    if method == "integral":
+    zq = _quad_arg(z)
+    route = _pick_route(
+        method,
+        {"hyp_quad": zq <= SERIES_ARG_MAX, "hyp_base": z <= SERIES_ARG_MAX, "integral": True},
+        lambda r: f"a series argument <= {SERIES_ARG_MAX}, "
+        f"got {zq if r == 'hyp_quad' else z!r} at 1 - x^p = {z!r}",
+    )
+    if route == "integral":
         return integral(x, p, tol)
-    route, arg = series[method]
-    if arg > SERIES_ARG_MAX:
-        raise ValueError(f"{method} route requires a series argument <= {SERIES_ARG_MAX}, "
-                         f"got {arg!r} at 1 - x^p = {z!r}")
-    return route(a, 1.0 / p, z)
+    return (_hyp_quad if route == "hyp_quad" else _hyp_base)(a, 1.0 / p, z)
 
 
 def _mean_mp(a: float, b: float, p: float, method: str = "auto", tol: float = 1e-12) -> EvalResult:
@@ -232,15 +242,16 @@ def mean_mp(a: float, b: float, p: float, method: str = "auto", tol: float = 1e-
     p = 0 gives sqrt(ab) and p = 1 the logarithmic mean, both as stated
     limits; elsewhere the pair is normalized to (1, x) and 1/M_p(1, x) is
     evaluated by the selected representation: ``integral``, ``elliptic``,
-    ``hyp_base`` or ``hyp_quad``.  Each runs only itself; a series route
-    whose argument exceeds 0.99 raises ValueError.  ``auto`` takes
-    ``hyp_base`` for 1 - x^p <= 0.9, then ``hyp_quad`` inside its domain,
-    then the integral.  ``elliptic`` sums the base series itself wherever
-    K_{p*,p} takes its series in k^p = 1 - x^p (k^p <= 1/2, or where its
-    connection terms would grow), and its independent connection series in
-    x^p elsewhere.  ``tol`` is the quadrature tolerance; series routes keep
-    hyp2f1's fixed stopping rule.  ``_mean_mp`` also returns the kind of
-    route that ran and the kernel's own error estimate.
+    ``hyp_base`` or ``hyp_quad``.  By the one rule of every quantity,
+    ``auto`` takes the first of ``hyp_quad``, ``hyp_base`` and ``integral``
+    whose domain admits the point (a series argument, (z/(2-z))^2 <= z or
+    z = 1 - x^p, at most 0.99), and a named route outside raises ValueError.
+    ``elliptic`` sums the base series itself wherever K_{p*,p} takes its
+    series in k^p = 1 - x^p (k^p <= 1/2, or where its connection terms would
+    grow), and its independent connection series in x^p elsewhere.  ``tol``
+    is the quadrature tolerance; series routes keep hyp2f1's fixed stopping
+    rule.  ``_mean_mp`` also returns the kind of route that ran and the
+    kernel's own error estimate.
     """
     return _mean_mp(a, b, p, method, tol).value
 

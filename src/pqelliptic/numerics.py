@@ -33,6 +33,8 @@ __all__ = [
 # logarithmic singularity at 1; a series route beyond it raises ValueError.
 SERIES_ARG_MAX = 0.99
 _MAX_TERMS = 1_000_000  # terms a series may take before it raises ConvergenceError
+_SUBNORMAL_SPACING = math.ulp(0.0)
+_INVERT_MAX_ITER = 200  # secant/bisection steps before invert_monotone gives up
 
 
 class ConvergenceError(RuntimeError):
@@ -64,8 +66,29 @@ def _rounding_err(value: float) -> float:
 
 
 def _closed_form(value: float) -> EvalResult:
-    """A value computed by a closed form, carrying only its rounding error."""
-    return EvalResult(value, _rounding_err(value), "closed_form")
+    """A value computed by a closed form, carrying only its rounding error,
+    which is never below the subnormal spacing (4 eps |value| underflows)."""
+    return EvalResult(value, max(_rounding_err(value), _SUBNORMAL_SPACING), "closed_form")
+
+
+def _pick_route(method: str, admits: dict[str, bool], need: Callable[[str], str]) -> str:
+    """The route a call runs, by the one rule of every quantity with routes.
+
+    ``admits`` maps each route, in ``auto``'s order, to whether its domain
+    admits the point.  ``auto`` is the first route that admits it; a named
+    route outside its domain raises ValueError "<route> route requires
+    <need(route)>", built only then; an unknown name raises ValueError.
+    """
+    if method == "auto":
+        for route, ok in admits.items():
+            if ok:
+                return route
+    ok = admits.get(method)
+    if ok is None:
+        raise ValueError(f"unknown method {method!r}; expected one of {('auto', *admits)}")
+    if not ok:
+        raise ValueError(f"{method} route requires {need(method)}")
+    return method
 
 
 def log_gamma(x: float) -> float:
@@ -77,9 +100,19 @@ def log_gamma(x: float) -> float:
 
 def beta(x: float, y: float) -> float:
     """Euler beta function B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y)."""
+    return _beta_rel(x, y)[0]
+
+
+def _beta_rel(x: float, y: float) -> tuple[float, float]:
+    """B(x, y) and a bound on its relative rounding error: exp turns the
+    absolute error of the lgamma sum into relative error.  Each lgamma is
+    within about an ulp, or a few eps near its zeros at 1 and 2, so the bound
+    is 2 eps (|lgamma x| + |lgamma y| + |lgamma(x + y)| + 4)."""
     if not (x > 0.0 and y > 0.0):
         raise ValueError(f"beta requires positive arguments, got ({x!r}, {y!r})")
-    return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
+    lx, ly, lxy = log_gamma(x), log_gamma(y), log_gamma(x + y)
+    rel = 2.0 * sys.float_info.epsilon * (abs(lx) + abs(ly) + abs(lxy) + 4.0)
+    return math.exp(lx + ly - lxy), rel
 
 
 _EULER_GAMMA = 0.5772156649015329  # -psi(1)
@@ -322,8 +355,17 @@ def _de_nodes(level: int) -> list[tuple[float, float, float]]:
     return nodes
 
 
-def _integrate_unit(f2: Callable[[float, float], float], tol: float) -> EvalResult:
-    """Tanh-sinh quadrature of f2(t, 1-t) over (0, 1) with level doubling."""
+def integrate_singular(f: Callable[[float, float], float], tol: float = 1e-12) -> EvalResult:
+    """Integrate f(t, 1 - t) over (0, 1) by double-exponential quadrature.
+
+    Handles algebraic endpoint singularities of exponent > -1.  The integrand
+    takes each node t with its exact complement, which resolves the upper
+    endpoint down to denormals as t itself does at 0 (doubles cannot hold a
+    t closer to 1 than about 1.1e-16); neither argument is ever 0.  The error
+    estimate is the last level-to-level difference, never less than
+    4 eps |value|; failure to meet ``tol`` within the level cap raises
+    ConvergenceError.
+    """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     terms: list[float] = []
@@ -331,7 +373,7 @@ def _integrate_unit(f2: Callable[[float, float], float], tol: float) -> EvalResu
     diff = math.inf
     for level in range(_LEVEL_CAP + 1):
         for t, tc, w in _de_nodes(level):
-            ft = f2(t, tc)
+            ft = f(t, tc)
             if not math.isfinite(ft):
                 raise ValueError(f"integrand returned non-finite value near t={t!r}")
             terms.append(w * ft)
@@ -344,34 +386,6 @@ def _integrate_unit(f2: Callable[[float, float], float], tol: float) -> EvalResu
         f"quadrature did not reach tol={tol:g} within {_LEVEL_CAP} refinement "
         f"levels (last level-to-level difference {diff:g})"
     )
-
-
-def integrate_singular(
-    f: Callable[..., float], tol: float = 1e-12, *, complement: bool = False
-) -> EvalResult:
-    """Integrate f over (0, 1) by double-exponential quadrature.
-
-    Handles algebraic endpoint singularities of exponent > -1.  The integrand
-    is never evaluated at exactly 0 or 1.  The error estimate is the last
-    level-to-level difference, never less than 4 eps |value|; failure to meet
-    ``tol`` within the level cap raises ConvergenceError.
-
-    With ``complement=False`` the integrand is called as ``f(t)``.  Doubles
-    cannot represent points closer to 1 than about 1.1e-16, so a strong
-    singularity at t = 1 caps the reachable accuracy near (1e-16)^(1-alpha).
-    Pass ``complement=True`` and accept ``f(t, one_minus_t)`` to integrate
-    such functions to full precision: the second argument resolves the upper
-    endpoint all the way down to denormals, exactly as t itself does at 0.
-    """
-    if complement:
-        return _integrate_unit(f, tol)
-
-    def f2(t: float, tc: float) -> float:
-        if t <= 0.0 or t >= 1.0:
-            return 0.0  # node indistinguishable from the endpoint: skip, never call f there
-        return f(t)
-
-    return _integrate_unit(f2, tol)
 
 
 def integrate_halfline(f: Callable[[float], float], tol: float = 1e-12) -> EvalResult:
@@ -390,7 +404,7 @@ def integrate_halfline(f: Callable[[float], float], tol: float = 1e-12) -> EvalR
             return 0.0
         return (f(t) / uc) / uc
 
-    return _integrate_unit(f2, tol)
+    return integrate_singular(f2, tol)
 
 
 def _one_minus_pow(y: float, yc: float, q: float) -> float:
@@ -422,12 +436,7 @@ def _pow_pair(x: float, q: float) -> tuple[float, float]:
 
 
 def invert_monotone(
-    g: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    max_iter: int = 200,
+    g: Callable[[float], float], target: float, lo: float, hi: float, tol: float = 1e-12
 ) -> float:
     """Solve g(x) = target for a continuous increasing g on [lo, hi].
 
@@ -454,7 +463,7 @@ def invert_monotone(
     x0, r0 = lo, rlo
     x1, r1 = hi, rhi
     best_r = math.inf
-    for _ in range(max_iter):
+    for _ in range(_INVERT_MAX_ITER):
         if r1 != r0:
             x = x1 - r1 * (x1 - x0) / (r1 - r0)
         else:

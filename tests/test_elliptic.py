@@ -12,6 +12,7 @@ import pytest
 from pqelliptic.elliptic import E_pq, K_pq, dE_dk, dK_dk, legendre_residual, moment_sin_pq
 from pqelliptic.gentrig import PQParams, pi_pq
 from pqelliptic.numerics import _pow_pair, integrate_singular
+from pqelliptic.suites import _LEGENDRE_PAIRS
 
 DUALITY_PAIRS = (PQParams(2, 2), PQParams(3, 2), PQParams(2, 3), PQParams(1.5, 4))
 
@@ -299,6 +300,25 @@ def test_connection_matches_oracle_within_its_error():
             assert err <= 1e-13 * abs(ref), (fn.__name__, p, q, mq, err)
 
 
+def test_series_error_covers_pi_pq_rounding():
+    # lgamma values in the hundreds put ~1e-13 of relative rounding into
+    # pi_pq here; the series route's abs_err must cover it
+    mpmath = pytest.importorskip("mpmath")
+    p, q = -0.011, 0.06
+    par = PQParams(p, q)
+    k = 0.9 ** (1.0 / q)
+    with mpmath.workdps(40):
+        mp_, mq = mpmath.mpf(p), mpmath.mpf(q)
+        a, b = (mp_ - 1) / mp_, 1 / mq  # 1/p*, 1/q
+        m = mpmath.mpf(k) ** mq
+        half = mpmath.beta(a, b) / mq  # pi_pq / 2
+        for fn, first in ((K_pq, a), (E_pq, -1 / mp_)):
+            r = fn(par, k)
+            assert r.method == "series"
+            ref = half * mpmath.hyp2f1(first, b, a + b, m)
+            assert abs(mpmath.mpf(r.value) - ref) <= r.abs_err, fn.__name__
+
+
 # -------------------------------------------------- Legendre-type relation
 
 
@@ -312,6 +332,14 @@ def test_legendre_grid():
     for p, q in ((2, 3), (3, 2), (1.5, 4), (4, 1.5), (2.5, 2.5), (2, 4)):
         for k in (0.0, 0.2, 0.5, 0.8, 0.95):
             assert abs(legendre_residual(p, q, k)) <= 1e-9, (p, q, k)
+
+
+@pytest.mark.parametrize("k", [0.999, 1 - 1e-6, 1 - 1e-9])
+def test_legendre_near_one_on_the_suite_pairs(k):
+    # every integral takes the exact pair (k, 1 - k); moduli rebuilt through
+    # k^(1/q) and k^(1/p) put 1.7e-7 into the residual at k = 1 - 1e-9
+    for p, q in _LEGENDRE_PAIRS:
+        assert abs(legendre_residual(p, q, k)) <= 1e-12, (p, q)
 
 
 def test_legendre_at_zero_is_bracket_identity():
@@ -350,7 +378,7 @@ def test_moments_match_beta_integral():
             def f(t, tc, expo=expo, inv_p=inv_p):
                 return t**expo * tc**-inv_p
 
-            oracle = inv_q * integrate_singular(f, 1e-12, complement=True).value
+            oracle = inv_q * integrate_singular(f, 1e-12).value
             assert abs(moment_sin_pq(par, n) - oracle) <= 1e-9, (p, q, n)
 
 

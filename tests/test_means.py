@@ -9,6 +9,7 @@ import pytest
 
 from pqelliptic.means import (
     MeanOrdering,
+    _mean_kp,
     _mean_mp,
     c_p,
     mean_ag,
@@ -315,6 +316,23 @@ def test_log_mean_hypergeometric_bridge():
         assert abs(f * mean_log(1.0, x) - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("p", [2e-8, 1e-7])
+def test_hyp_quad_prefactor_at_tiny_p(p):
+    # (1 - z/2)^(-1/p) alone multiplies the rounding of 1 - z/2 by 1/p: it
+    # was 2.4e-9 off at p = 2e-8, x = 0.1
+    mpmath = pytest.importorskip("mpmath")
+    x = 0.1
+    with mpmath.workdps(40):
+        mp_, mx = mpmath.mpf(p), mpmath.mpf(x)
+        refs = {
+            mean_mp: 1 / mpmath.hyp2f1(1 / mp_, 1 / mp_, 2 / mp_, 1 - mx**mp_),
+            mean_kp: (mp_ - 1) / mp_ * (1 - mx**mp_) / (1 - mx ** (mp_ - 1)),
+        }
+        for fn, ref in refs.items():
+            v = fn(1.0, x, p, "hyp_quad")
+            assert abs(mpmath.mpf(v) / ref - 1) <= 1e-13, fn.__name__
+
+
 # ------------------------------------------------------ extreme-scale pairs
 
 # closed forms on pairs whose products, sums or relative differences leave
@@ -330,6 +348,9 @@ EXTREME_CASES = [
     (lambda a, b: mean_kp(a, b, 0.0), (1e200, 3e200), "k0"),
     (lambda a, b: mean_kp(a, b, 0.0), (1e300, 1e-300), "k0"),
     (lambda a, b: mean_mp(a, b, 0.0), (1.7e308, 1e-300), "geometric"),
+    # min/max past 2^-1022: a scaled loop alone would push min out of range
+    (mean_ag, (1e300, 1e-300), "agm"),
+    (mean_ag, (1e308, 1e-320), "agm"),
 ]
 
 
@@ -337,7 +358,7 @@ EXTREME_CASES = [
     "fn, pair, kind",
     EXTREME_CASES,
     ids=["ag_tiny", "ag_huge", "log_wide", "log_small_first", "log_small_first_1e-10",
-         "mp0_tiny", "kp0_tiny", "kp0_huge", "kp0_wide", "mp0_wide"],
+         "mp0_tiny", "kp0_tiny", "kp0_huge", "kp0_wide", "mp0_wide", "ag_wide", "ag_widest"],
 )
 def test_closed_forms_at_extreme_scales(fn, pair, kind):
     mpmath = pytest.importorskip("mpmath")
@@ -355,11 +376,18 @@ def test_closed_forms_at_extreme_scales(fn, pair, kind):
         assert abs(mpmath.mpf(v) / ref - 1) <= 1e-14
 
 
-def test_agm_refuses_a_ratio_past_the_double_range():
-    # the smaller term would underflow once max(a, b) is scaled below 1; the
-    # unscaled iteration overflowed to inf here
-    with pytest.raises(ValueError, match="too wide"):
-        mean_ag(1e300, 1e-300)
+@pytest.mark.parametrize("fn", [_mean_mp, _mean_kp], ids=["mp0", "kp0"])
+def test_subnormal_closed_form_error_covers_the_spacing(fn):
+    # the exact value lies between two subnormals; 4 eps |v| underflows to 0
+    mpmath = pytest.importorskip("mpmath")
+    a, b = 5e-324, 1e-323
+    with mpmath.workdps(40):
+        ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+        lm = (mb - ma) / (mpmath.log(mb) - mpmath.log(ma))
+        ref = mpmath.sqrt(ma * mb) if fn is _mean_mp else ma * mb / lm
+        r = fn(a, b, 0.0)
+        assert r.abs_err > 0.0
+        assert abs(mpmath.mpf(r.value) - ref) <= r.abs_err
 
 
 def test_closed_forms_in_range_are_unchanged():

@@ -79,9 +79,7 @@ def test_beta_reflection_value():
     exact = 2.0 * math.pi / math.sqrt(3.0)
     assert math.isclose(beta(2.0 / 3.0, 1.0 / 3.0), exact, rel_tol=1e-12)
     # quadrature cross-check of the defining integral
-    quad = integrate_singular(
-        lambda t, tc: t ** (-1.0 / 3.0) * tc ** (-2.0 / 3.0), 1e-12, complement=True
-    ).value
+    quad = integrate_singular(lambda t, tc: t ** (-1.0 / 3.0) * tc ** (-2.0 / 3.0), 1e-12).value
     assert math.isclose(quad, exact, rel_tol=1e-12)
 
 
@@ -131,7 +129,7 @@ def test_hyp2f1_elliptic_quadrature_oracle():
     # F(1/2, 1/2; 1; k^2) = (2/pi) * integral_0^{pi/2} (1 - k^2 sin^2)^(-1/2)
     k2 = 0.25
 
-    def integrand(t):  # theta = (pi/2) t
+    def integrand(t, tc):  # theta = (pi/2) t
         s = math.sin(0.5 * math.pi * t)
         return 1.0 / math.sqrt(1.0 - k2 * s * s)
 
@@ -252,14 +250,14 @@ def test_connection_spec_validation():
 
 
 def test_integrate_constant():
-    r = integrate_singular(lambda t: 1.0, 1e-12)
+    r = integrate_singular(lambda t, tc: 1.0, 1e-12)
     assert abs(r.value - 1.0) <= 1e-12
     assert r.method == "quadrature"
     assert r.abs_err <= 1e-12
 
 
 def test_integrate_arcsin_singularity():
-    r = integrate_singular(lambda t, tc: (tc * (1.0 + t)) ** -0.5, 1e-12, complement=True)
+    r = integrate_singular(lambda t, tc: (tc * (1.0 + t)) ** -0.5, 1e-12)
     assert abs(r.value - 0.5 * math.pi) <= 1e-12
 
 
@@ -270,7 +268,7 @@ def test_integrate_cube_root_singularity():
     def f(t, tc):
         return (tc * (1.0 + t + t * t)) ** (-1.0 / 3.0)
 
-    assert abs(integrate_singular(f, 1e-12, complement=True).value - exact) <= 1e-12
+    assert abs(integrate_singular(f, 1e-12).value - exact) <= 1e-12
 
 
 def test_integrate_beta_grid_within_requested_tol():
@@ -284,37 +282,28 @@ def test_integrate_beta_grid_within_requested_tol():
             lg = math.log1p(-tc) if tc < 0.5 else math.log(t)
             return (-math.expm1(q * lg)) ** (-1.0 / p)
 
-        r = integrate_singular(f, tol, complement=True)
+        r = integrate_singular(f, tol)
         assert abs(r.value - exact) <= tol, (p, q)
 
 
-def test_integrate_plain_protocol_honest():
-    # plain f(t) never sees the endpoints; a square-root singularity at t = 1
-    # is then resolvable to ~1e-8, and the routine either meets the requested
-    # tolerance honestly or refuses
-    f = lambda t: (1.0 - t * t) ** -0.5
-    r = integrate_singular(f, 1e-6)
-    assert abs(r.value - 0.5 * math.pi) <= 1e-6
-    with pytest.raises(ConvergenceError):
-        integrate_singular(f, 1e-12)
-
-
 def test_integrate_never_evaluates_endpoints():
+    # no node passes t = 0 or 1 - t = 0, and the pair is (t, 1 - t)
     seen = []
 
-    def f(t):
-        seen.append(t)
+    def f(t, tc):
+        seen.append((t, tc))
         return 1.0
 
     integrate_singular(f, 1e-10)
-    assert all(0.0 < t < 1.0 for t in seen)
+    assert seen and all(t > 0.0 and tc > 0.0 for t, tc in seen)
+    assert all(math.isclose(t + tc, 1.0, rel_tol=4e-16) for t, tc in seen)
 
 
 def test_integrate_rejects_bad_tol_and_nonfinite():
     with pytest.raises(ValueError):
-        integrate_singular(lambda t: 1.0, 0.0)
+        integrate_singular(lambda t, tc: 1.0, 0.0)
     with pytest.raises(ValueError):
-        integrate_singular(lambda t: float("inf"), 1e-10)
+        integrate_singular(lambda t, tc: float("inf"), 1e-10)
 
 
 # ------------------------------------------------------ half-line quadrature

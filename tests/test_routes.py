@@ -6,8 +6,6 @@ starts with the route's name, or returns the kind of its own route:
 returns, bit for bit, what the route it chose returns.
 """
 
-import math
-
 import pytest
 
 from pqelliptic.elliptic import E_pq, K_pq
@@ -49,7 +47,8 @@ def _named(fn, method, *args):
 @pytest.mark.parametrize(
     "fn, methods, auto_rows",
     [
-        (_mean_mp, ("elliptic", "hyp_base", "hyp_quad", "integral"), ("hyp_base", "hyp_quad", "integral")),
+        (_mean_mp, ("elliptic", "hyp_base", "hyp_quad", "integral"),
+         ("hyp_quad", "hyp_base", "integral")),
         (_mean_kp, ("closed", "integral", "hyp_base", "hyp_quad"), None),
     ],
     ids=["mean_mp", "mean_kp"],
@@ -61,10 +60,9 @@ def test_mean_routes_run_only_themselves(fn, methods, auto_rows):
             results = {m: _named(fn, m, 1.0, x, p) for m in methods}
             raised += sum(r is None for r in results.values())
             if auto_rows:
-                # auto is hyp_base up to 1 - x^p = 0.9, then the first row that runs
-                z = -math.expm1(p * math.log(x))
-                rows = auto_rows if z <= 0.9 else auto_rows[1:]
-                chosen = next(results[m] for m in rows if results[m] is not None)
+                # auto is the first of (hyp_quad, hyp_base, integral) that runs,
+                # the rule K and E follow
+                chosen = next(results[m] for m in auto_rows if results[m] is not None)
                 assert fn(1.0, x, p, "auto") == chosen, (p, x)
     assert raised > 0  # the grid reaches past 0.99, so some named route refused
 
@@ -72,6 +70,16 @@ def test_mean_routes_run_only_themselves(fn, methods, auto_rows):
 def test_nakamura_is_not_a_method():
     with pytest.raises(ValueError, match="unknown method 'nakamura'"):
         mean_mp(1.0, 0.5, 3.0, "nakamura")
+
+
+@pytest.mark.parametrize("args", [(1.0, 1.0, 2.0), (1.0, 0.5, 0.0), (1.0, 0.5, 2.0)],
+                         ids=["equal-pair", "p0", "series"])
+def test_unknown_names_raise_on_every_path(args):
+    # the closed-form shortcuts still check the name; K_p has no auto
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        mean_mp(*args, "bogus")
+    with pytest.raises(ValueError, match="unknown method 'auto'"):
+        _mean_kp(*args, "auto")
 
 
 @pytest.mark.parametrize("fn", [K_pq, E_pq], ids=["K", "E"])
