@@ -18,6 +18,7 @@ from .numerics import (
     EvalResult,
     HypSeriesSpec,
     _connection_domain,
+    _ConnectionSpec,
     _one_minus_pow,
     _pick_route,
     _pow_pair,
@@ -53,13 +54,13 @@ def _complete(params: PQParams, m: float, mc: float, method: str, tol: float,
     - ``quadrature``: integral_0^1 (1 - t^q)^(-1/p) (mc + m (1 - t^q))^(-a) dt.
 
     ``_pick_route`` chooses: ``auto`` is the first of connection (m > 1/2
-    and terms that do not grow), series (m <= SERIES_ARG_MAX) and quadrature.
+    and terms that do not grow; the sum's order is 0 for K and 1 for E by
+    construction), series (m <= SERIES_ARG_MAX) and quadrature.
     """
     inv_ps, inv_q = 1.0 / params.p_star, 1.0 / params.q
-    c = inv_ps + inv_q
     a = -1.0 / params.p if second_kind else inv_ps
-    b_log = 1.0 + inv_q if second_kind else inv_q
-    fits = m > 0.5 and _connection_domain(inv_ps, b_log, c, mc)
+    order, b_log = (1, 1.0 + inv_q) if second_kind else (0, inv_q)
+    fits = m > 0.5 and _connection_domain(inv_ps, b_log, order, mc)
     route = _pick_route(
         method,
         {"connection": fits, "series": m <= SERIES_ARG_MAX, "quadrature": True},
@@ -68,13 +69,13 @@ def _complete(params: PQParams, m: float, mc: float, method: str, tol: float,
     if route == "series":
         pi, pi_rel = _pi_pq_rel(params)
         half = 0.5 * pi
-        r = hyp2f1(HypSeriesSpec(a, inv_q, c, m))
+        r = hyp2f1(HypSeriesSpec(a, inv_q, inv_ps + inv_q, m))
         value = half * r.value
         err = half * r.abs_err + _rounding_err(value) + pi_rel * abs(value)
         return EvalResult(value, err, "series")
     if route == "connection":
         # summed until the tail bound is below rounding: a few terms more
-        r = hyp2f1(HypSeriesSpec(inv_ps, b_log, c, m, rel_tol=2.0**-53, arg_c=mc))
+        r = hyp2f1(_ConnectionSpec(inv_ps, b_log, order, mc, rel_tol=2.0**-53))
         head, scale = (1.0, -mc / (params.p * params.q)) if second_kind else (0.0, -inv_q)
         tail = scale * r.value
         value = head + tail

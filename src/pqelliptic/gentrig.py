@@ -16,6 +16,9 @@ from .numerics import _beta_rel, _one_minus_pow, _pow_pair, integrate_singular, 
 
 __all__ = ["PQParams", "arcsin_pq", "cos_pq", "pi_pq", "sin_pq", "tan_pq"]
 
+_ARCSIN_TOL = 1e-13  # quadrature tolerance of arcsin_pq
+_SIN_TOL = 1e-12  # residual in theta at which sin_pq's inversion stops
+
 
 @dataclass(frozen=True)
 class PQParams:
@@ -52,11 +55,11 @@ def _pi_pq_rel(params: PQParams) -> tuple[float, float]:
     return (2.0 / params.q) * b, rel
 
 
-def arcsin_pq(params: PQParams, x: float, tol: float = 1e-13) -> float:
+def arcsin_pq(params: PQParams, x: float) -> float:
     """integral_0^x dt / (1 - t^q)^(1/p) for x in [0, 1], increasing in x.
 
     At x = 1 this equals pi_pq / 2; the endpoint singularity there is
-    integrable for every admissible (p, q).
+    integrable for every admissible (p, q); its quadrature runs to _ARCSIN_TOL.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"arcsin_pq requires x in [0, 1], got {x!r}")
@@ -70,14 +73,14 @@ def arcsin_pq(params: PQParams, x: float, tol: float = 1e-13) -> float:
         # t = x s, so 1 - t^q = (1 - x^q) + x^q (1 - s^q)
         return (mc + m * _one_minus_pow(s, sc, q)) ** neg_inv_p
 
-    return x * integrate_singular(integrand, tol).value
+    return x * integrate_singular(integrand, _ARCSIN_TOL).value
 
 
-def sin_pq(params: PQParams, theta: float, tol: float = 1e-12) -> float:
+def sin_pq(params: PQParams, theta: float) -> float:
     """Inverse of arcsin_pq, increasing from [0, pi_pq/2] onto [0, 1].
 
     Endpoints are exact; interior values come from monotone inversion of the
-    defining integral to a residual of ``tol`` in theta.
+    defining integral to a residual of _SIN_TOL in theta.
     """
     half = 0.5 * pi_pq(params)
     if not 0.0 <= theta <= half:
@@ -86,7 +89,7 @@ def sin_pq(params: PQParams, theta: float, tol: float = 1e-12) -> float:
         return 0.0
     if theta == half:
         return 1.0
-    return invert_monotone(lambda x: arcsin_pq(params, x), theta, 0.0, 1.0, tol)
+    return invert_monotone(lambda x: arcsin_pq(params, x), theta, 0.0, 1.0, _SIN_TOL)
 
 
 def _cos_from_sin(s: float, q: float) -> float:

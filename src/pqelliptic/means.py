@@ -32,6 +32,7 @@ from .numerics import (
     _closed_form,
     _one_minus_xp,
     _pick_route,
+    _rounding_err,
     beta,
     hyp2f1,
     integrate_halfline,
@@ -128,14 +129,16 @@ def c_p(p: float) -> float:
 
 
 def _scaled(factor: float, r: EvalResult) -> EvalResult:
-    """factor * r for a positive factor, with the error and route carried."""
-    return EvalResult(factor * r.value, factor * r.abs_err, r.method)
+    """factor * r for a positive factor, with the error, its rounding and the route."""
+    value = factor * r.value
+    return EvalResult(value, factor * r.abs_err + _rounding_err(value), r.method)
 
 
 def _over(scale: float, recip: EvalResult) -> EvalResult:
-    """scale / recip, with the relative error of recip carried through."""
+    """scale / recip, with recip's relative error, the rounding and the route."""
     value = scale / recip.value
-    return EvalResult(value, value * recip.abs_err / recip.value, recip.method)
+    err = value * recip.abs_err / recip.value + _rounding_err(value)
+    return EvalResult(value, err, recip.method)
 
 
 def _recip_mp_integral(x: float, p: float, tol: float) -> EvalResult:

@@ -152,29 +152,18 @@ def pochhammer(a: float, n: int) -> float:
     return out
 
 
-def _log_order(a: float, b: float, c: float) -> int | None:
-    """a + b - c when it is 0 or 1 up to the rounding of c, else None."""
-    gap = a + b - c
-    slack = 8.0 * sys.float_info.epsilon * (abs(a) + abs(b) + abs(c))
-    for m in (0, 1):
-        if abs(gap - m) <= slack:
-            return m
-    return None
+def _connection_domain(a: float, b: float, m: int, w: float) -> bool:
+    """Whether F(a, b; a + b - m; 1 - w), m = 0 or 1, may be summed as a
+    connection series in w: a and b positive, 0 < w <= 1/2, and no term ratio
+    (a + n)(b + n) w / ((n + 1)(n + m + 1)) above 1.  The caller states m.
 
-
-def _connection_domain(a: float, b: float, c: float, w: float) -> bool:
-    """Whether F(a, b; c; 1 - w) may be summed as a connection series in w.
-
-    a + b - c must be m = 0 or 1, a and b positive, 0 < w <= 1/2, and no
-    term ratio (a + n)(b + n) w / ((n + 1)(n + m + 1)) may exceed 1.  Each
-    factor moves monotonically towards 1, so the largest ratio is at most
-    max(a, 1) max(b / (m + 1), 1) w.  Where terms grow, they fall later and
-    cancel, so such points are not taken: at a = 51, b = 0.04, w = 0.4 the
-    first ratio is 0.82, but the largest term is 7e4 times the sum, which
-    comes out 2e-8 off in relative terms.
+    Each factor of a ratio moves monotonically towards 1, so the largest
+    ratio is at most max(a, 1) max(b / (m + 1), 1) w.  Where terms grow, they
+    fall later and cancel, so such points are not taken: at a = 51, b = 0.04,
+    w = 0.4 the first ratio is 0.82, but the largest term is 7e4 times the
+    sum, which comes out 2e-8 off in relative terms.
     """
-    m = _log_order(a, b, c)
-    if m is None or not (a > 0.0 and b > 0.0 and 0.0 < w <= 0.5):
+    if not (a > 0.0 and b > 0.0 and 0.0 < w <= 0.5):
         return False
     return max(a, 1.0) * max(b / (m + 1), 1.0) * w <= 1.0
 
@@ -186,10 +175,6 @@ class HypSeriesSpec:
     The series converges for |arg| < 1, and at arg = 1 when c - a - b > 0;
     anything else is rejected up front.  c must not be zero or a negative
     integer, so the denominator Pochhammer never vanishes.
-
-    ``arg_c``, when given, is the exact complement 1 - arg (so arg itself may
-    have rounded to 1) and selects the connection series in w = arg_c; the
-    parameters must then lie in the domain of ``_connection_domain``.
     """
 
     a: float
@@ -197,44 +182,50 @@ class HypSeriesSpec:
     c: float
     arg: float
     rel_tol: float = 1e-14
-    arg_c: float | None = None
 
     def __post_init__(self) -> None:
         if self.c <= 0.0 and float(self.c).is_integer():
             raise ValueError(f"c must not be zero or a negative integer, got {self.c!r}")
-        if self.arg_c is not None:
-            if not _connection_domain(self.a, self.b, self.c, self.arg_c):
-                raise ValueError(
-                    f"connection series needs a + b - c in {{0, 1}}, a, b > 0, "
-                    f"0 < 1 - arg <= 1/2 and terms that do not grow, got a={self.a:g}, "
-                    f"b={self.b:g}, c={self.c:g}, 1 - arg={self.arg_c:g}"
-                )
-            if abs((1.0 - self.arg) - self.arg_c) > 4.0 * sys.float_info.epsilon:
-                raise ValueError(f"arg_c={self.arg_c!r} is not the complement of arg={self.arg!r}")
-        else:
-            ok_inside = abs(self.arg) < 1.0
-            ok_boundary = self.arg == 1.0 and self.c - self.a - self.b > 0.0
-            if not (ok_inside or ok_boundary):
-                raise ValueError(
-                    f"series argument {self.arg!r} needs |arg| < 1, or arg = 1 with c - a - b > 0"
-                )
+        ok_inside = abs(self.arg) < 1.0
+        ok_boundary = self.arg == 1.0 and self.c - self.a - self.b > 0.0
+        if not (ok_inside or ok_boundary):
+            raise ValueError(
+                f"series argument {self.arg!r} needs |arg| < 1, or arg = 1 with c - a - b > 0"
+            )
         if not self.rel_tol > 0.0:
             raise ValueError("rel_tol must be positive")
 
 
-def hyp2f1(spec: HypSeriesSpec) -> EvalResult:
-    """Sum the Gauss series  sum_n (a)_n (b)_n / (c)_n * arg^n / n!.
+@dataclass(frozen=True)
+class _ConnectionSpec:
+    """The sum S_m of ``_log_series`` for F(a, b; a + b - m; 1 - w).  The caller
+    states m and has checked ``_connection_domain``; nothing is validated here.
+    ``arg`` is F's argument, so a wrapper of hyp2f1 reads both specs alike."""
+
+    a: float
+    b: float
+    m: int
+    w: float
+    rel_tol: float
+
+    @property
+    def arg(self) -> float:
+        return 1.0 - self.w
+
+
+def hyp2f1(spec: HypSeriesSpec | _ConnectionSpec) -> EvalResult:
+    """F(a, b; c; arg) by the Gauss series  sum_n (a)_n (b)_n / (c)_n * arg^n / n!.
 
     Terms are built by the ratio recurrence, so the result is exactly
     symmetric under swapping a and b.  Summation stops once two consecutive
     terms fall below rel_tol times the running partial sum; the second of
     them is dropped and its magnitude becomes the error estimate.
 
-    Given a spec with ``arg_c``, it returns instead the logarithmic sum S_m
-    of F's connection formula in 1 - arg (see ``_log_series``) and leaves
-    the gamma prefactors to the caller.
+    Every HypSeriesSpec gives F.  A ``_ConnectionSpec`` gives instead the
+    connection sum S_m of ``_log_series``, whose gamma prefactors the caller
+    applies; it passes through here as one more call of this kernel.
     """
-    if spec.arg_c is not None:
+    if isinstance(spec, _ConnectionSpec):
         return _log_series(spec)
     a, b, c, x = spec.a, spec.b, spec.c, spec.arg
     total = 1.0
@@ -255,9 +246,9 @@ def hyp2f1(spec: HypSeriesSpec) -> EvalResult:
     )
 
 
-def _log_series(spec: HypSeriesSpec) -> EvalResult:
+def _log_series(spec: _ConnectionSpec) -> EvalResult:
     """The logarithmic sum of A&S 15.3.10 (m = 0) and 15.3.12 (m = 1) for
-    F(a, b; a + b - m; 1 - w), w = arg_c:
+    F(a, b; a + b - m; 1 - w), with m and w read from the spec:
 
         S_m = sum_n (a)_n (b)_n / (n! (n+m)!) w^n
               [log w - psi(n+1) - psi(n+m+1) + psi(a+n) + psi(b+n)].
@@ -272,8 +263,7 @@ def _log_series(spec: HypSeriesSpec) -> EvalResult:
     n eps times the largest term and a few eps of the bracket's constants
     carried by every term.
     """
-    a, b, w = spec.a, spec.b, spec.arg_c
-    m = _log_order(a, b, spec.c)
+    a, b, m, w = spec.a, spec.b, spec.m, spec.w
     log_w = math.log(w)
     psi_a, psi_b = digamma(a), digamma(b)
     # log w - psi(1) - psi(m + 1) + psi(a) + psi(b), with psi(2) = 1 - gamma
@@ -312,7 +302,7 @@ def _log_series(spec: HypSeriesSpec) -> EvalResult:
             return EvalResult(total, tail + eps * ((n + 1) * peak + constants), "series")
     raise ConvergenceError(
         f"connection series did not settle within {_MAX_TERMS} terms "
-        f"(a={a:g}, b={b:g}, c={spec.c:g}, 1 - arg={w:g})"
+        f"(a={a:g}, b={b:g}, m={m}, w={w:g})"
     )
 
 

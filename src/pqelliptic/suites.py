@@ -46,6 +46,7 @@ class VerifyReport:
 
 
 _LEGENDRE_PAIRS = ((2, 3), (3, 2), (1.5, 4), (4, 1.5), (2.5, 2.5))
+_HYPERGEO_PAIRS = ((2, 2), (3, 2), (2, 3), (1.5, 4))
 
 
 def _suite_legendre() -> list[CaseResult]:
@@ -84,7 +85,7 @@ def _suite_hypergeo() -> list[CaseResult]:
     1 - k^q at k^q = 0.75, 0.999 and 1 - 1e-9.
     """
     cases = []
-    for p, q in ((2, 2), (3, 2), (2, 3), (1.5, 4)):
+    for p, q in _HYPERGEO_PAIRS:
         par = PQParams(p, q)
         points = [("series", f"p={p} q={q} k={i / 10.0}", i / 10.0) for i in range(10)]
         points += [

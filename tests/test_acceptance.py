@@ -10,13 +10,11 @@ import time
 from pqelliptic.elliptic import E_pq, K_pq
 from pqelliptic.gentrig import PQParams, arcsin_pq, cos_pq, pi_pq, sin_pq, tan_pq
 from pqelliptic.cli import main
-from pqelliptic.means import mean_ag, mean_kp, mean_log, mean_mp
-from pqelliptic.suites import run_suite
+from pqelliptic.means import mean_kp, mean_log, mean_mp
+from pqelliptic.suites import _ORDERING_PS, _ORDERING_XS, run_suite
 
 MP_METHODS = ("integral", "elliptic", "hyp_base", "hyp_quad")
 KP_METHODS = ("closed", "integral", "hyp_base", "hyp_quad")
-CHAIN_PS = (0.25, 0.5, 0.75, 1.5, 2.0, 3.0, 5.0)
-CHAIN_XS = (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
 TRIG_PAIRS = (PQParams(2, 2), PQParams(3, 2), PQParams(2, 3), PQParams(1.5, 4), PQParams(-2, 2))
 
 
@@ -26,10 +24,12 @@ def report(num, name, bad):
     assert not bad, bad[:10]
 
 
-def suite_failures(name, count, bound):
+def suite_failures(name, count, bound, prefixes=("",)):
     """Failing cases of a verify suite, plus any departure from its stated
-    case count and per-case bound."""
+    case count and per-case bound; with ``prefixes``, of only the cases whose
+    names start with one of them."""
     _, cases = run_suite(name)
+    cases = [c for c in cases if c.name.startswith(prefixes)]
     bad = [f"{c.name} residual {c.residual:.2e}" for c in cases if not c.passed]
     if len(cases) != count:
         bad.append(f"{len(cases)} cases, expected {count}")
@@ -38,14 +38,9 @@ def suite_failures(name, count, bound):
 
 
 def test_c01_classical_degeneration():
-    bad = []
+    # hypergeo's series-against-quadrature cases at (2, 2), k = 0, 0.1, ..., 0.9
+    bad = suite_failures("hypergeo", 20, 1e-10, ("K p=2 q=2 k=", "E p=2 q=2 k="))
     par = PQParams(2, 2)
-    for i in range(10):
-        k = i / 10.0
-        for fn, tag in ((K_pq, "K"), (E_pq, "E")):
-            d = abs(fn(par, k, "series").value - fn(par, k, "quadrature").value)
-            if d > 1e-10:
-                bad.append(f"{tag}(k={k}) series/quadrature diff {d:.2e}")
     for fn, tag in ((K_pq, "K"), (E_pq, "E")):
         d = abs(fn(par, 0.0).value - math.pi / 2.0)
         if d > 1e-12:
@@ -96,19 +91,16 @@ def chain_failures(tag, mean, methods, p, x):
 
 def test_c05_representation_chain():
     bad = []
-    for p in CHAIN_PS:
-        for x in CHAIN_XS:
+    for p in _ORDERING_PS:
+        for x in _ORDERING_XS:
             bad += chain_failures("1/M_p", mean_mp, MP_METHODS, p, x)
             bad += chain_failures("1/K_p", mean_kp, KP_METHODS, p, x)
     report(5, "representation chain", bad)
 
 
 def test_c06_gauss_bridge():
-    bad = []
-    for x in (0.01,) + tuple(i / 10.0 for i in range(1, 10)):
-        d = abs(mean_mp(1.0, x, 2.0) - mean_ag(1.0, x))
-        if d > 1e-10:
-            bad.append(f"M_2 vs AG (x={x}) diff {d:.2e}")
+    # means-bridge's M_2 = AG cases at x = 0.01, 0.1, ..., 0.9
+    bad = suite_failures("means-bridge", 10, 1e-10, ("M2=AG ",))
     for x in (0.01, 0.2, 0.5, 0.9):
         l = mean_log(1.0, x)
         for p in (1.0 + 1e-5, 1.0 - 1e-5):
@@ -120,13 +112,13 @@ def test_c06_gauss_bridge():
 
 def test_c07_ordering():
     bad = []
-    for p in CHAIN_PS:
+    for p in _ORDERING_PS:
         want = 1.0 if p < 1.0 else -1.0
-        for x in CHAIN_XS:
+        for x in _ORDERING_XS:
             gap = mean_mp(1.0, x, p) - mean_kp(1.0, x, p)
             if want * gap <= 0.0:
                 bad.append(f"sign (p={p}, x={x}) gap {gap:.2e}")
-    for x in CHAIN_XS:
+    for x in _ORDERING_XS:
         d = abs(mean_mp(1.0, x, 1.0) - mean_kp(1.0, x, 1.0))
         if d > 1e-10:
             bad.append(f"M_1 vs K_1 (x={x}) diff {d:.2e}")

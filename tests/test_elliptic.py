@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from pqelliptic import elliptic
 from pqelliptic.elliptic import E_pq, K_pq, dE_dk, dK_dk, legendre_residual, moment_sin_pq
 from pqelliptic.gentrig import PQParams, pi_pq
 from pqelliptic.numerics import _pow_pair, integrate_singular
@@ -298,6 +299,27 @@ def test_connection_matches_oracle_within_its_error():
             err = abs(r.value - ref)
             assert err <= r.abs_err, (fn.__name__, p, q, mq, err, r.abs_err)
             assert err <= 1e-13 * abs(ref), (fn.__name__, p, q, mq, err)
+
+
+def test_connection_is_one_call_of_the_module_kernel(monkeypatch):
+    # tracing replaces elliptic.hyp2f1 and reads F's argument from args[0].arg,
+    # so the connection sum goes through that name; its domain is checked once
+    par, kq = PQParams(2, 3), 0.95
+    k = kq ** (1.0 / 3.0)
+    unwrapped = {fn: fn(par, k) for fn in (K_pq, E_pq)}
+    kernel, domain = elliptic.hyp2f1, elliptic._connection_domain
+    specs, checks = [], []
+    monkeypatch.setattr(elliptic, "hyp2f1", lambda spec: specs.append(spec) or kernel(spec))
+    monkeypatch.setattr(
+        elliptic, "_connection_domain", lambda *a: checks.append(a) or domain(*a)
+    )
+    for fn, want in unwrapped.items():
+        specs.clear()
+        checks.clear()
+        r = fn(par, k)
+        assert len(specs) == 1 and len(checks) == 1, fn.__name__
+        assert abs(specs[0].arg - kq) <= math.ulp(kq), fn.__name__
+        assert r == want, fn.__name__
 
 
 def test_series_error_covers_pi_pq_rounding():

@@ -333,6 +333,25 @@ def test_hyp_quad_prefactor_at_tiny_p(p):
             assert abs(mpmath.mpf(v) / ref - 1) <= 1e-13, fn.__name__
 
 
+@pytest.mark.parametrize("p", [2e-8, 1e-7])
+def test_series_error_covers_the_rounding_of_the_scaling(p):
+    # the series are exact to rounding here, so what is left is the rounding
+    # of the prefactor and of scale / recip: hyp_quad for M_p claimed 4.9e-26
+    # of the value at p = 2e-8 while 1.8e-16 off
+    mpmath = pytest.importorskip("mpmath")
+    x = 0.1
+    with mpmath.workdps(40):
+        mp_, mx = mpmath.mpf(p), mpmath.mpf(x)
+        refs = {
+            _mean_mp: 1 / mpmath.hyp2f1(1 / mp_, 1 / mp_, 2 / mp_, 1 - mx**mp_),
+            _mean_kp: (mp_ - 1) / mp_ * (1 - mx**mp_) / (1 - mx ** (mp_ - 1)),
+        }
+        for fn, ref in refs.items():
+            for method in ("hyp_quad", "hyp_base"):
+                r = fn(1.0, x, p, method)
+                assert abs(mpmath.mpf(r.value) - ref) <= r.abs_err, (fn.__name__, method)
+
+
 # ------------------------------------------------------ extreme-scale pairs
 
 # closed forms on pairs whose products, sums or relative differences leave

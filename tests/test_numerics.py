@@ -2,6 +2,7 @@
 their connection series, singular quadrature, half-line quadrature, and
 monotone inversion."""
 
+import dataclasses
 import math
 
 import pytest
@@ -11,6 +12,8 @@ from pqelliptic.numerics import (
     ConvergenceError,
     EvalResult,
     HypSeriesSpec,
+    _connection_domain,
+    _ConnectionSpec,
     _pow_pair,
     beta,
     digamma,
@@ -210,8 +213,8 @@ def test_digamma_matches_mpmath():
             assert abs(digamma(x) - ref) <= 1e-14 * max(1.0, abs(ref)), x
 
 
-def _connection(a, b, c, w):
-    return hyp2f1(HypSeriesSpec(a, b, c, 1.0 - w, rel_tol=2.0**-53, arg_c=w))
+def _connection(a, b, m, w):
+    return hyp2f1(_ConnectionSpec(a, b, m, w, rel_tol=2.0**-53))
 
 
 def test_connection_series_closed_forms():
@@ -220,8 +223,8 @@ def test_connection_series_closed_forms():
     for w in (0.5, 0.25, 1e-3, 1e-8, 1e-300):
         z = 1.0 - w
         for r, want in (
-            (_connection(1.0, 1.0, 2.0, w), math.log(w) / z),
-            (_connection(2.0, 2.0, 3.0, w), (z + math.log(w)) / (z * z)),
+            (_connection(1.0, 1.0, 0, w), math.log(w) / z),
+            (_connection(2.0, 2.0, 1, w), (z + math.log(w)) / (z * z)),
         ):
             assert r.method == "series"
             assert abs(r.value - want) <= r.abs_err + 4e-16 * abs(want), w
@@ -229,21 +232,21 @@ def test_connection_series_closed_forms():
 
 
 def test_connection_spec_validation():
+    # the public spec has one meaning; the connection sum has its own spec
+    assert [f.name for f in dataclasses.fields(HypSeriesSpec)] == ["a", "b", "c", "arg", "rel_tol"]
+    assert _ConnectionSpec(1.0, 1.0, 0, 0.25, 1e-14).arg == 0.75
     # q = 0.05, k = 1 - 2^-53: k^q rounds to 1.0, its complement does not
     m, w = _pow_pair(1.0 - 2.0**-53, 0.05)
     assert m == 1.0 and 0.0 < w < 1e-17
-    assert math.isfinite(_connection(1.0, 1.0, 2.0, w).value)
-    HypSeriesSpec(1.0, 1.0, 2.0, m, arg_c=w)
-    for bad in (
-        dict(a=1.0, b=1.0, c=1.5, arg=0.75, arg_c=0.25),  # a + b - c = 0.5
-        dict(a=1.0, b=1.0, c=2.0, arg=0.4, arg_c=0.6),  # w > 1/2
-        dict(a=51.0, b=0.5, c=51.5, arg=0.9, arg_c=0.1),  # terms grow
-        dict(a=-0.5, b=0.5, c=0.0 + 1e-300, arg=0.9, arg_c=0.1),  # a <= 0
-        dict(a=1.0, b=1.0, c=2.0, arg=0.6, arg_c=0.3),  # not the complement
-        dict(a=1.0, b=1.0, c=2.0, arg=1.0, arg_c=0.0),  # w = 0
+    assert _connection_domain(1.0, 1.0, 0, w)
+    assert math.isfinite(_connection(1.0, 1.0, 0, w).value)
+    for a, b, order, w in (
+        (1.0, 1.0, 0, 0.6),  # w > 1/2
+        (51.0, 0.5, 0, 0.1),  # terms grow
+        (-0.5, 0.5, 0, 0.1),  # a <= 0
+        (1.0, 1.0, 0, 0.0),  # w = 0
     ):
-        with pytest.raises(ValueError):
-            HypSeriesSpec(**bad)
+        assert not _connection_domain(a, b, order, w)
 
 
 # ------------------------------------------------------- singular quadrature

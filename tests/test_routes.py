@@ -11,10 +11,8 @@ import pytest
 from pqelliptic.elliptic import E_pq, K_pq
 from pqelliptic.gentrig import PQParams
 from pqelliptic.means import _mean_kp, _mean_mp, mean_mp
+from pqelliptic.suites import _HYPERGEO_PAIRS, _ORDERING_PS, _ORDERING_XS
 
-CHAIN_PS = (0.25, 0.5, 0.75, 1.5, 2.0, 3.0, 5.0)
-CHAIN_XS = (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
-SUITE_PAIRS = ((2, 2), (3, 2), (2, 3), (1.5, 4))
 ELLIPTIC_KQ = (0.3, 0.75, 0.995, 1 - 1e-9)
 
 # method -> the kind of route it runs; M_p's elliptic route runs whichever
@@ -55,8 +53,8 @@ def _named(fn, method, *args):
 )
 def test_mean_routes_run_only_themselves(fn, methods, auto_rows):
     raised = 0
-    for p in CHAIN_PS:
-        for x in CHAIN_XS:
+    for p in _ORDERING_PS:
+        for x in _ORDERING_XS:
             results = {m: _named(fn, m, 1.0, x, p) for m in methods}
             raised += sum(r is None for r in results.values())
             if auto_rows:
@@ -85,7 +83,7 @@ def test_unknown_names_raise_on_every_path(args):
 @pytest.mark.parametrize("fn", [K_pq, E_pq], ids=["K", "E"])
 def test_elliptic_routes_run_only_themselves(fn):
     raised = 0
-    for p, q in SUITE_PAIRS:
+    for p, q in _HYPERGEO_PAIRS:
         par = PQParams(p, q)
         for kq in ELLIPTIC_KQ:
             k = kq ** (1.0 / q)
