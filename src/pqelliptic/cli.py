@@ -25,6 +25,8 @@ __all__ = ["main"]
 
 # canonical flag order; grid axes iterate in this order, first axis outermost
 _AXIS_FLAGS = ("p", "q", "k", "a", "b", "c", "x")
+# the eval functions as --fn help and its unknown-function error spell them
+_EVAL_NAMES = "pi_pq sin_pq cos_pq tan_pq K_pq E_pq L AG Mp Kp hyp2f1"
 
 
 class _UsageError(Exception):
@@ -168,8 +170,7 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     fn = _canon(ns.fn)
     handler = _EVAL_FNS.get(fn)
     if handler is None:
-        raise _UsageError(f"unknown function {ns.fn!r}; expected one of "
-                          "pi_pq sin_pq cos_pq tan_pq K_pq E_pq L AG Mp Kp hyp2f1")
+        raise _UsageError(f"unknown function {ns.fn!r}; expected one of {_EVAL_NAMES}")
     _check_options(ns, fn)
     args = {f: getattr(ns, f) for f in (*_AXIS_FLAGS, "method", "tol")}
     r = handler(args)
@@ -261,8 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate one function at one point")
-    pe.add_argument("--fn", required=True,
-                    help="pi_pq sin_pq cos_pq tan_pq K_pq E_pq L AG Mp Kp hyp2f1")
+    pe.add_argument("--fn", required=True, help=_EVAL_NAMES)
     for flag in _AXIS_FLAGS:
         pe.add_argument(f"--{flag}", type=float)
     pe.add_argument("--method", help="representation to use where applicable")

@@ -300,7 +300,8 @@ def mean_kp(a: float, b: float, p: float, method: str = "closed", tol: float = 1
 
 def quad_transform_check(a: float, b: float, x: float) -> float:
     """Absolute residual of the quadratic transformation at (a, b, x):
-    |F(a, b; 2a; x) - (1 - x/2)^(-b) F(b/2, (b+1)/2; a + 1/2; (x/(2-x))^2)|."""
+    |F(a, b; 2a; x) - (1 - x/2)^(-b) F(b/2, (b+1)/2; a + 1/2; (x/(2-x))^2)|,
+    for |x| < 1.  x = 1 raises ValueError: the series in x is not summed there."""
     return abs(_hyp_base(a, b, x).value - _hyp_quad(a, b, x).value)
 
 

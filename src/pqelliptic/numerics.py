@@ -172,7 +172,7 @@ def _connection_domain(a: float, b: float, m: int, w: float) -> bool:
 class HypSeriesSpec:
     """Parameters of one Gauss hypergeometric evaluation F(a, b; c; arg).
 
-    The series converges for |arg| < 1, and at arg = 1 when c - a - b > 0;
+    a, b and c must be finite, and the series is summed only for |arg| < 1;
     anything else is rejected up front.  c must not be zero or a negative
     integer, so the denominator Pochhammer never vanishes.
     """
@@ -184,14 +184,13 @@ class HypSeriesSpec:
     rel_tol: float = 1e-14
 
     def __post_init__(self) -> None:
-        if self.c <= 0.0 and float(self.c).is_integer():
-            raise ValueError(f"c must not be zero or a negative integer, got {self.c!r}")
-        ok_inside = abs(self.arg) < 1.0
-        ok_boundary = self.arg == 1.0 and self.c - self.a - self.b > 0.0
-        if not (ok_inside or ok_boundary):
-            raise ValueError(
-                f"series argument {self.arg!r} needs |arg| < 1, or arg = 1 with c - a - b > 0"
-            )
+        a, b, c = self.a, self.b, self.c
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+            raise ValueError(f"a, b and c must be finite, got ({a!r}, {b!r}, {c!r})")
+        if c <= 0.0 and float(c).is_integer():
+            raise ValueError(f"c must not be zero or a negative integer, got {c!r}")
+        if not abs(self.arg) < 1.0:
+            raise ValueError(f"series argument {self.arg!r} needs |arg| < 1")
         if not self.rel_tol > 0.0:
             raise ValueError("rel_tol must be positive")
 
@@ -221,9 +220,10 @@ def hyp2f1(spec: HypSeriesSpec | _ConnectionSpec) -> EvalResult:
     terms fall below rel_tol times the running partial sum; the second of
     them is dropped and its magnitude becomes the error estimate.
 
-    Every HypSeriesSpec gives F.  A ``_ConnectionSpec`` gives instead the
-    connection sum S_m of ``_log_series``, whose gamma prefactors the caller
-    applies; it passes through here as one more call of this kernel.
+    Every HypSeriesSpec, whose argument lies inside the unit disc, gives F.
+    A ``_ConnectionSpec`` gives instead the connection sum S_m of
+    ``_log_series``, whose gamma prefactors the caller applies; it passes
+    through here as one more call of this kernel.
     """
     if isinstance(spec, _ConnectionSpec):
         return _log_series(spec)
@@ -242,7 +242,7 @@ def hyp2f1(spec: HypSeriesSpec | _ConnectionSpec) -> EvalResult:
         total += term
     raise ConvergenceError(
         f"hypergeometric series did not settle within {_MAX_TERMS} terms "
-        f"(a={a:g}, b={b:g}, c={c:g}, arg={x:g})"
+        f"(a={a!r}, b={b!r}, c={c!r}, arg={x!r})"
     )
 
 
@@ -302,7 +302,7 @@ def _log_series(spec: _ConnectionSpec) -> EvalResult:
             return EvalResult(total, tail + eps * ((n + 1) * peak + constants), "series")
     raise ConvergenceError(
         f"connection series did not settle within {_MAX_TERMS} terms "
-        f"(a={a:g}, b={b:g}, m={m}, w={w:g})"
+        f"(a={a!r}, b={b!r}, m={m!r}, w={w!r})"
     )
 
 

@@ -176,34 +176,13 @@ def _suite_moments() -> list[CaseResult]:
 
 
 def _suite_nakamura() -> list[CaseResult]:
-    """The product-form series for 1/M_p is term-by-term the base series.
+    """The series M_p takes under auto against the half-line integral.
 
-    The ``partials`` cases check that identity on 40-term partial sums.  The
-    ``full`` cases check the series that ``auto`` takes at each point against
-    the half-line integral; a point where ``auto`` ran no series fails.
+    A point where ``auto`` ran no series fails.
     """
     cases = []
-    n_terms = 40
     for p in (0.5, 1.5, 3.0):
-        inv_p, two_inv_p = 1.0 / p, 2.0 / p
         for x in (0.2, 0.5, 0.8):
-            z = 1.0 - x**p
-            # base series by the term ratio recurrence
-            s_base = 1.0
-            t_base = 1.0
-            for k in range(n_terms):
-                t_base *= (inv_p + k) * (inv_p + k) / ((two_inv_p + k) * (k + 1.0)) * z
-                s_base += t_base
-            # product form: coefficient prod_{i<k} (1/p+i)^2/(2/p+i), then z^k/k!
-            s_nak = 1.0
-            for k in range(1, n_terms + 1):
-                coef = 1.0
-                for i in range(k):
-                    coef *= (inv_p + i) * (inv_p + i) / (two_inv_p + i)
-                s_nak += coef * z**k / math.factorial(k)
-            cases.append(
-                CaseResult(f"partials p={p} x={x}", abs(s_base - s_nak), 1e-12)
-            )
             series = _mean_mp(1.0, x, p)
             full = abs(1.0 / series.value - 1.0 / mean_mp(1.0, x, p, "integral"))
             full = full if series.method == "series" else math.inf

@@ -122,6 +122,27 @@ def test_eval_domain_errors(capsys):
 @pytest.mark.parametrize(
     "args",
     (
+        # arg = 1 is refused before any term is summed, whatever c - a - b is
+        ["eval", "--fn", "hyp2f1", "--a", "0.5", "--b", "0.5", "--c", "3", "--x", "1"],
+        ["eval", "--fn", "hyp2f1", "--a", "0.5", "--b", "0.5", "--c", "2", "--x", "1"],
+        ["table", "--fn", "hyp2f1", "--a", "0.5", "--b", "0.5", "--c", "3", "--x", "0:1:3"],
+        ["eval", "--fn", "hyp2f1", "--a", "nan", "--b", "0.5", "--c", "2", "--x", "0.5"],
+        ["eval", "--fn", "hyp2f1", "--a", "inf", "--b", "0.5", "--c", "2", "--x", "0.5"],
+        ["eval", "--fn", "hyp2f1", "--a", "0.5", "--b=-inf", "--c", "2", "--x", "0.5"],
+        ["eval", "--fn", "hyp2f1", "--a", "0.5", "--b", "0.5", "--c", "nan", "--x", "0.5"],
+        ["eval", "--fn", "hyp2f1", "--a", "0.5", "--b", "0.5", "--c", "inf", "--x", "0.5"],
+    ),
+)
+def test_hyp2f1_outside_its_domain_exits_1(args, capsys):
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    (
         ["--fn", "Mp", "--a", "1", "--b", "1e-30", "--p", "60"],  # ZeroDivisionError
         # OverflowError in the integrand; auto sums the connection series here
         ["--fn", "Kpq", "--p", "1.01", "--q", "0.5", "--k", "0.99", "--method", "quadrature"],

@@ -280,6 +280,8 @@ def test_quad_transform_residuals():
     assert quad_transform_check(1.0 / 3.0, 1.0 / 3.0, 0.4) <= 1e-10
     assert quad_transform_check(1.0, 1.0 / 3.0, 0.7) <= 1e-10
     assert quad_transform_check(0.5, 0.25, 0.8) <= 1e-10
+    with pytest.raises(ValueError, match=r"needs \|arg\| < 1"):
+        quad_transform_check(1.0, 1.0 / 3.0, 1.0)  # the series in x is not summed at 1
 
 
 def test_representation_agreement_is_the_transform():

@@ -182,9 +182,14 @@ def test_hyp_series_spec_validation():
     HypSeriesSpec(1.0, 1.0, -2.5, 0.5)  # non-integer negative c is fine
     with pytest.raises(ValueError):
         HypSeriesSpec(1.0, 1.0, 2.0, 1.5)  # |arg| > 1
-    with pytest.raises(ValueError):
-        HypSeriesSpec(1.0, 1.0, 2.0, 1.0)  # c - a - b = 0 at the boundary
-    HypSeriesSpec(0.25, 0.25, 2.0, 1.0)  # c - a - b > 0 at the boundary is legal
+    # arg = 1 is rejected whatever c - a - b is: 0, 1.5, 2, 2/3
+    for a, b, c in ((1.0, 1.0, 2.0), (0.25, 0.25, 2.0), (0.5, 0.5, 3.0), (1.0, 1 / 3, 2.0)):
+        with pytest.raises(ValueError, match=r"needs \|arg\| < 1$"):
+            HypSeriesSpec(a, b, c, 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for abc in ((bad, 0.5, 2.0), (0.5, bad, 2.0), (0.5, 0.5, bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                HypSeriesSpec(*abc, 0.5)
     with pytest.raises(ValueError):
         HypSeriesSpec(1.0, 1.0, 2.0, 0.5, rel_tol=0.0)
 

@@ -65,17 +65,16 @@ def test_mean_routes_run_only_themselves(fn, methods, auto_rows):
     assert raised > 0  # the grid reaches past 0.99, so some named route refused
 
 
-def test_nakamura_is_not_a_method():
-    with pytest.raises(ValueError, match="unknown method 'nakamura'"):
-        mean_mp(1.0, 0.5, 3.0, "nakamura")
-
-
-@pytest.mark.parametrize("args", [(1.0, 1.0, 2.0), (1.0, 0.5, 0.0), (1.0, 0.5, 2.0)],
-                         ids=["equal-pair", "p0", "series"])
-def test_unknown_names_raise_on_every_path(args):
+@pytest.mark.parametrize(
+    "args, name",
+    [((1.0, 1.0, 2.0), "bogus"), ((1.0, 0.5, 0.0), "bogus"), ((1.0, 0.5, 2.0), "bogus"),
+     ((1.0, 0.5, 3.0), "nakamura")],  # the product-form series is no route of its own
+    ids=["equal-pair", "p0", "series", "nakamura"],
+)
+def test_unknown_names_raise_on_every_path(args, name):
     # the closed-form shortcuts still check the name; K_p has no auto
-    with pytest.raises(ValueError, match="unknown method 'bogus'"):
-        mean_mp(*args, "bogus")
+    with pytest.raises(ValueError, match=f"unknown method '{name}'"):
+        mean_mp(*args, name)
     with pytest.raises(ValueError, match="unknown method 'auto'"):
         _mean_kp(*args, "auto")
 

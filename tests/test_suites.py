@@ -5,6 +5,19 @@ import pytest
 
 from pqelliptic.suites import SUITE_NAMES, CaseResult, run_suite
 
+# verify's case counts; cli-batch counts each case as a value, so a change
+# here changes what that benchmark measures
+CASE_COUNTS = {
+    "legendre": 25,
+    "derivatives": 54,
+    "hypergeo": 104,
+    "quadtransform": 12,
+    "means-ordering": 57,
+    "means-bridge": 35,
+    "moments": 18,
+    "nakamura": 9,
+}
+
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_suite_passes(name):
@@ -15,6 +28,11 @@ def test_suite_passes(name):
     assert report.suite == name
     assert report.max_residual == max(c.residual for c in cases)
     assert report.elapsed >= 0.0
+
+
+def test_suite_case_counts_are_pinned():
+    assert {name: run_suite(name)[0].cases for name in SUITE_NAMES} == CASE_COUNTS
+    assert sum(CASE_COUNTS.values()) == 314  # verify all
 
 
 def test_unknown_suite_rejected():
