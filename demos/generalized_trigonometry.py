@@ -1,8 +1,12 @@
 """A walk through the generalized (p, q)-trigonometric functions.
 
 sin_pq inverts the integral x -> integral_0^x (1 - t^q)^(-1/p) dt on the
-principal branch [0, pi_pq/2].  This script tabulates the half-period
-constant, shows the classical degeneration at p = q = 2, and spot-checks the
+principal branch [0, pi_pq/2].  arcsin_pq evaluates that integral by the
+first of three routes that admits x: the series x F(1/p, 1/q; 1 + 1/q; x^q)
+for x^q <= 1/2, pi_pq/2 less an incomplete beta series in 1 - x^q near
+x = 1, and tanh-sinh quadrature where neither series is safe.  This script
+tabulates the half-period constant, shows the classical degeneration at
+p = q = 2, compares the routes of arcsin_pq, and spot-checks the
 Pythagorean and derivative identities numerically.
 
 Run:  python demos/generalized_trigonometry.py
@@ -19,6 +23,18 @@ print(f"{'p':>6} {'q':>6} {'p*':>10} {'pi_pq':>20}")
 for par in pairs:
     print(f"{par.p:6.1f} {par.q:6.1f} {par.p_star:10.4f} {pi_pq(par):20.15f}")
 print(f"(classical check: pi_22 - pi = {pi_pq(pairs[0]) - math.pi:.1e})")
+
+print()
+print("arcsin_pq by each route that admits x, at (p, q) = (3, 2):")
+par = pairs[1]
+for x in (0.5, 0.9, 1.0):
+    row = []
+    for method in ("series", "complement", "quadrature"):
+        try:
+            row.append(f"{method}={arcsin_pq(par, x, method):.15f}")
+        except ValueError:
+            row.append(f"{method}=(outside its domain)")
+    print(f"  x={x}  " + "  ".join(row))
 
 print()
 print("At p = q = 2 the functions are the classical ones:")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, TextIO
 
 from .elliptic import E_pq, K_pq
-from .gentrig import PQParams, cos_pq, pi_pq, sin_pq, tan_pq
+from .gentrig import PQParams, _sin_pq, pi_pq
 from .means import _mean_kp, _mean_mp, mean_ag, mean_log, ordering
 from .numerics import ConvergenceError, EvalResult, HypSeriesSpec, _closed_form, hyp2f1
 from .suites import _SUITES, SUITE_NAMES, run_suite
@@ -73,11 +73,13 @@ def _eval_closed(fn: Callable, flags: tuple[str, ...], name: str) -> Callable[[d
     return handler
 
 
-def _eval_trig(fn: Callable, name: str) -> Callable[[dict], EvalResult]:
+def _eval_trig(fn: str, name: str) -> Callable[[dict], EvalResult]:
+    """Handler of sin_pq, cos_pq or tan_pq (fn "sin", "cos" or "tan"), with
+    the error and route ``_sin_pq`` reports."""
+
     def handler(args: dict) -> EvalResult:
         p, q, x = _need(args, ("p", "q", "x"), name)
-        v = fn(PQParams(p, q), x)
-        return EvalResult(v, 1e-12, "quadrature")
+        return _sin_pq(PQParams(p, q), x, fn)
 
     return handler
 
@@ -109,9 +111,9 @@ def _ordering_gap(args: dict) -> float:
 
 _EVAL_FNS: dict[str, Callable[[dict], EvalResult]] = {
     "pipq": _eval_closed(lambda p, q: pi_pq(PQParams(p, q)), ("p", "q"), "pi_pq"),
-    "sinpq": _eval_trig(sin_pq, "sin_pq"),
-    "cospq": _eval_trig(cos_pq, "cos_pq"),
-    "tanpq": _eval_trig(tan_pq, "tan_pq"),
+    "sinpq": _eval_trig("sin", "sin_pq"),
+    "cospq": _eval_trig("cos", "cos_pq"),
+    "tanpq": _eval_trig("tan", "tan_pq"),
     "kpq": _eval_routed(
         lambda p, q, k, **kw: K_pq(PQParams(p, q), k, **kw), ("p", "q", "k"), "K_pq"
     ),

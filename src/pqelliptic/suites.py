@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .elliptic import E_pq, K_pq, dE_dk, dK_dk, legendre_residual, moment_sin_pq
-from .gentrig import PQParams
+from .gentrig import PQParams, arcsin_pq, sin_pq
 from .means import _mean_mp, mean_ag, mean_kp, mean_log, mean_mp, ordering, quad_transform_check
 from .numerics import HypSeriesSpec, hyp2f1, integrate_singular
 
@@ -190,6 +190,32 @@ def _suite_nakamura() -> list[CaseResult]:
     return cases
 
 
+# the pairs of acceptance criterion c09, p = -2 included
+_TRIG_PAIRS = ((2, 2), (3, 2), (2, 3), (1.5, 4), (-2, 2))
+
+
+def _suite_trig() -> list[CaseResult]:
+    """arcsin_pq's two series against its quadrature, and sin_pq(arcsin_pq x) = x.
+
+    The series in x^q runs at x^q = 0.25 and 0.45, near the edge 1/2 of its
+    domain; the complement in w = 1 - x^q at w = 0.45 and 1e-6.  Every point
+    lies in the domain of the route it names, which raises ValueError
+    otherwise.
+    """
+    cases = []
+    for p, q in _TRIG_PAIRS:
+        par = PQParams(p, q)
+        points = [("series", f"x^q={mq}", mq ** (1.0 / q)) for mq in (0.25, 0.45)]
+        points += [("complement", f"w={w:g}", (1.0 - w) ** (1.0 / q)) for w in (0.45, 1e-6)]
+        for route, label, x in points:
+            d = abs(arcsin_pq(par, x, route) - arcsin_pq(par, x, "quadrature"))
+            cases.append(CaseResult(f"{route} p={p} q={q} {label}", d, 1e-13))
+        # the inversion stops within 1e-12 in theta, and sin_pq' <= 1.4 here
+        d = abs(sin_pq(par, arcsin_pq(par, 0.7)) - 0.7)
+        cases.append(CaseResult(f"roundtrip p={p} q={q} x=0.7", d, 1e-11))
+    return cases
+
+
 _SUITES: dict[str, Callable[[], list[CaseResult]]] = {
     "legendre": _suite_legendre,
     "derivatives": _suite_derivatives,
@@ -199,6 +225,7 @@ _SUITES: dict[str, Callable[[], list[CaseResult]]] = {
     "means-bridge": _suite_means_bridge,
     "moments": _suite_moments,
     "nakamura": _suite_nakamura,
+    "trig": _suite_trig,
 }
 
 SUITE_NAMES = tuple(_SUITES)

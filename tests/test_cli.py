@@ -66,6 +66,26 @@ def _eval_fields(capsys, args):
     return float(value), abs_err, method
 
 
+def test_eval_trig_prints_route_and_error(capsys):
+    # abs_err is the theta width of the inversion carried through the
+    # derivative; method is arcsin_pq's route at the returned sine
+    classical = [("sin_pq", math.pi / 6, 0.5), ("cos_pq", 1.0, math.cos(1.0)),
+                 ("tan_pq", 1.5, math.tan(1.5))]
+    for fn, theta, want in classical:
+        v, abs_err, method = _eval_fields(
+            capsys, ["--fn", fn, "--p", "2", "--q", "2", "--x", repr(theta)])
+        err = float(abs_err.split("=")[1])
+        assert method == "method=series", fn
+        assert abs(v - want) <= err <= 1e-9, (fn, v, err)
+    # near p = 1 the complement cancels and the last arcsin_pq is a quadrature
+    assert _eval_fields(capsys, ["--fn", "sin_pq", "--p", "1.001", "--q", "3", "--x", "1"])[2] == (
+        "method=quadrature"
+    )
+    assert _eval_fields(capsys, ["--fn", "cos_pq", "--p", "2", "--q", "2", "--x", "0"])[1:] == (
+        "abs_err=8.88e-16", "method=closed_form"
+    )
+
+
 def test_eval_mean_prints_route_that_ran(capsys):
     # a named series route past 0.99 runs nothing else: exit 1, no value
     hyp_base = ["--fn", "Mp", "--a", "1", "--b", "0.001", "--p", "3", "--method", "hyp_base"]

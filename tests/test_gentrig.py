@@ -3,9 +3,11 @@ degeneration at p = q = 2, the Pythagorean identity, and the derivative
 identities checked by central finite differences."""
 
 import math
+import random
 
 import pytest
 
+from pqelliptic import gentrig
 from pqelliptic.gentrig import PQParams, arcsin_pq, cos_pq, pi_pq, sin_pq, tan_pq
 
 # the parameter set used throughout, including one negative-p pair
@@ -50,8 +52,10 @@ def test_pi_pq_33():
 
 
 def test_pi_pq_matches_twice_arcsin_one():
+    # auto's complement route returns pi_pq/2 itself at x = 1; the quadrature
+    # route is independent of the beta function
     for par in PAIRS:
-        assert abs(pi_pq(par) - 2.0 * arcsin_pq(par, 1.0)) <= 1e-10
+        assert abs(pi_pq(par) - 2.0 * arcsin_pq(par, 1.0, "quadrature")) <= 1e-10
 
 
 # ---------------------------------------------------------------- arcsin_pq
@@ -74,6 +78,107 @@ def test_arcsin_near_one_matches_mpmath():
             for x in (0.999, 1 - 1e-8, 1 - 1e-12, 1 - 2.0**-53, 1.0):
                 ref = x * mpmath.hyp2f1(ip, iq, 1 + iq, mpmath.mpf(x) ** par.q)
                 assert abs(arcsin_pq(par, x) / ref - 1) <= 1e-13, (par, x)
+
+
+def _wide_points(n, seed):
+    """n (params, x) points: p in (-50, -0.01) u (1.001, 50), a third of them
+    in the cancellation band p in (1.001, 1.3), q in (0.05, 50); x spread
+    over x^q, over 1 - x down to 1e-16, and on the edges of the two series'
+    domains: x^q = 1/2, |1/p| x^q = 1 and |1 - 1/q| (1 - x^q) = 1."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        p = (rng.uniform(1.001, 1.3), rng.uniform(-50.0, -0.01), rng.uniform(1.001, 50.0))[i % 3]
+        q = rng.uniform(0.05, 50.0)
+        pick = i % 5
+        if pick == 0:
+            mq = rng.random()
+        elif pick == 1:
+            mq = 1.0 - 10.0 ** -rng.uniform(0.0, 16.0)
+        elif pick == 2:
+            mq = 0.5
+        elif pick == 3:
+            mq = min(0.5, abs(p))  # the series' growth bound, where |p| < 1/2
+        else:
+            mq = 1.0 - min(0.5, 1.0 / abs(1.0 - 1.0 / q))  # the complement's
+        x = mq ** (1.0 / q)
+        for y in (x, math.nextafter(x, 0.0), math.nextafter(x, 1.0)):
+            if 0.0 <= y <= 1.0:
+                out.append((PQParams(p, q), y))
+    return out
+
+
+# the complement without its error guard is 1.3e-13 off here, in relative terms
+_CANCELS = (PQParams(1.020783811915286, 0.49766632349813417), 0.28770880176548064)
+
+
+def test_arcsin_routes_match_mpmath_on_the_wide_domain():
+    # each series route, and auto, within 1e-13 relative wherever it admits x
+    mpmath = pytest.importorskip("mpmath")
+    ran = {"auto": 0, "series": 0, "complement": 0}
+    with mpmath.workdps(30):
+        for par, x in _wide_points(600, 12) + [_CANCELS]:
+            ip, iq = 1 / mpmath.mpf(par.p), 1 / mpmath.mpf(par.q)
+            ref = x * mpmath.hyp2f1(ip, iq, 1 + iq, mpmath.mpf(x) ** par.q)
+            for method in ("auto", "series", "complement"):
+                try:
+                    v = arcsin_pq(par, x, method)
+                except ValueError as err:
+                    assert method != "auto" and str(err).startswith(f"{method} route requires")
+                    continue
+                ran[method] += 1
+                assert abs(v / ref - 1) <= 1e-13, (par, x, method)
+    assert ran["series"] > 300 and ran["complement"] > 300, ran
+
+
+def test_named_arcsin_route_outside_its_domain_raises():
+    par = PQParams(2, 2)
+    with pytest.raises(ValueError, match=r"^series route requires x\^q <= 1/2"):
+        arcsin_pq(par, 0.8, "series")
+    with pytest.raises(ValueError, match=r"^series route requires .* terms that do not grow"):
+        arcsin_pq(PQParams(-0.1, 2), 0.5, "series")  # |1/p| x^q = 2.5
+    with pytest.raises(ValueError, match=r"^complement route requires 1 - x\^q <= 1/2"):
+        arcsin_pq(par, 0.6, "complement")
+    with pytest.raises(ValueError, match=r"^complement route requires .* terms that do not grow"):
+        arcsin_pq(PQParams(2, 0.1), 0.8**10, "complement")  # |1 - 1/q| w = 9 * 0.2
+    # near p = 1 the tail nearly cancels pi_pq/2, which is close to p*/q
+    with pytest.raises(ValueError, match=r"^complement route requires .* tail"):
+        arcsin_pq(PQParams(1.001, 2), 0.99, "complement")
+    with pytest.raises(ValueError, match=r"^unknown method 'bogus'"):
+        arcsin_pq(par, 0.5, "bogus")
+
+
+def test_arcsin_auto_returns_the_route_it_chose():
+    for par in PAIRS:
+        for x in (0.0, 0.3, 0.8, 0.999, 1.0):
+            routes = []
+            for method in ("series", "complement", "quadrature"):
+                try:
+                    routes.append(arcsin_pq(par, x, method))
+                except ValueError:
+                    pass
+            assert arcsin_pq(par, x) == routes[0], (par, x)
+    par = PQParams(1.001, 2)  # cancellation: auto takes quadrature
+    assert arcsin_pq(par, 0.99) == arcsin_pq(par, 0.99, "quadrature")
+    assert arcsin_pq(par, 1.0) == 0.5 * pi_pq(par)  # w = 0: pi_pq/2 exactly
+
+
+def test_trig_runs_no_quadrature_on_the_c09_grid(monkeypatch):
+    # a deterministic work count: every arcsin_pq evaluation of sin/cos/tan
+    # on c09's 50-point theta grids takes a series route
+    calls = []
+    quad = gentrig.integrate_singular
+    monkeypatch.setattr(gentrig, "integrate_singular", lambda *a: calls.append(1) or quad(*a))
+    for par in PAIRS:
+        half = 0.5 * pi_pq(par)
+        for i in range(50):
+            theta = half * i / 49.0
+            sin_pq(par, theta), cos_pq(par, theta)
+            if i < 49:  # tan_pq diverges at pi_pq/2
+                tan_pq(par, theta)
+    assert calls == []
+    arcsin_pq(PQParams(1.001, 2), 0.99)
+    assert calls == [1]  # the counter does see a quadrature
 
 
 def test_arcsin_endpoint_is_half_period():

@@ -16,6 +16,7 @@ CASE_COUNTS = {
     "means-bridge": 35,
     "moments": 18,
     "nakamura": 9,
+    "trig": 25,
 }
 
 
@@ -32,7 +33,7 @@ def test_suite_passes(name):
 
 def test_suite_case_counts_are_pinned():
     assert {name: run_suite(name)[0].cases for name in SUITE_NAMES} == CASE_COUNTS
-    assert sum(CASE_COUNTS.values()) == 314  # verify all
+    assert sum(CASE_COUNTS.values()) == 339  # verify all
 
 
 def test_unknown_suite_rejected():
