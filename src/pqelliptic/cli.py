@@ -13,7 +13,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import Callable, Collection, TextIO
 
 from .elliptic import E_pq, K_pq
 from .gentrig import PQParams, _sin_pq, pi_pq
@@ -25,8 +25,6 @@ __all__ = ["main"]
 
 # canonical flag order; grid axes iterate in this order, first axis outermost
 _AXIS_FLAGS = ("p", "q", "k", "a", "b", "c", "x")
-# the eval functions as --fn help and its unknown-function error spell them
-_EVAL_NAMES = "pi_pq sin_pq cos_pq tan_pq K_pq E_pq L AG Mp Kp hyp2f1"
 
 
 class _UsageError(Exception):
@@ -66,36 +64,42 @@ def _need(args: dict, names: tuple[str, ...], fn: str) -> list[float]:
     return [args[n] for n in names]
 
 
-def _eval_closed(fn: Callable, flags: tuple[str, ...], name: str) -> Callable[[dict], EvalResult]:
-    def handler(args: dict) -> EvalResult:
-        return _closed_form(fn(*_need(args, flags, name)))
+# --fn display name -> (function returning an EvalResult, the flags it takes
+# in order, the options it forwards); the names, in this order, are --fn's
+# help and its unknown-function error.  The trig functions report the error
+# and route of ``_sin_pq``.
+_FNS: dict[str, tuple[Callable[..., EvalResult], tuple[str, ...], tuple[str, ...]]] = {
+    "pi_pq": (lambda p, q: _closed_form(pi_pq(PQParams(p, q))), ("p", "q"), ()),
+    "sin_pq": (lambda p, q, x: _sin_pq(PQParams(p, q), x, "sin"), ("p", "q", "x"), ()),
+    "cos_pq": (lambda p, q, x: _sin_pq(PQParams(p, q), x, "cos"), ("p", "q", "x"), ()),
+    "tan_pq": (lambda p, q, x: _sin_pq(PQParams(p, q), x, "tan"), ("p", "q", "x"), ()),
+    "K_pq": (lambda p, q, k, **kw: K_pq(PQParams(p, q), k, **kw), ("p", "q", "k"), ("method",)),
+    "E_pq": (lambda p, q, k, **kw: E_pq(PQParams(p, q), k, **kw), ("p", "q", "k"), ("method",)),
+    "L": (lambda a, b: _closed_form(mean_log(a, b)), ("a", "b"), ()),
+    "AG": (lambda a, b: _closed_form(mean_ag(a, b)), ("a", "b"), ()),
+    "Mp": (_mean_mp, ("a", "b", "p"), ("method",)),
+    "Kp": (_mean_kp, ("a", "b", "p"), ("method",)),
+    "hyp2f1": (
+        lambda a, b, c, x, tol=HypSeriesSpec.rel_tol: hyp2f1(HypSeriesSpec(a, b, c, x, tol)),
+        ("a", "b", "c", "x"), ("tol",),
+    ),
+}
+_EVAL_NAMES = " ".join(_FNS)
 
-    return handler
+
+def _canon(fn: str) -> str:
+    return fn.lower().replace("_", "").replace("-", "")
 
 
-def _eval_trig(fn: str, name: str) -> Callable[[dict], EvalResult]:
-    """Handler of sin_pq, cos_pq or tan_pq (fn "sin", "cos" or "tan"), with
-    the error and route ``_sin_pq`` reports."""
-
-    def handler(args: dict) -> EvalResult:
-        p, q, x = _need(args, ("p", "q", "x"), name)
-        return _sin_pq(PQParams(p, q), x, fn)
-
-    return handler
+# canonical spelling -> display name; ordering is the one table-only function
+_BY_CANON = {_canon(name): name for name in (*_FNS, "ordering")}
 
 
-def _eval_routed(
-    fn: Callable, flags: tuple[str, ...], name: str, options: tuple[str, ...] = ("method", "tol")
-) -> Callable[[dict], EvalResult]:
-    """Handler that forwards the ``options`` (--method, --tol) given on the
-    command line and returns fn's own result, which names the route that ran."""
-
-    def handler(args: dict) -> EvalResult:
-        kwargs = {o: args[o] for o in options if args.get(o) not in (None, "")}
-        return fn(*_need(args, flags, name), **kwargs)
-
-    handler.options = options
-    return handler
+def _evaluate(name: str, args: dict) -> EvalResult:
+    """Row ``name`` of _FNS at args, with the options it forwards."""
+    fn, flags, options = _FNS[name]
+    kwargs = {o: args[o] for o in options if args.get(o) not in (None, "")}
+    return fn(*_need(args, flags, name), **kwargs)
 
 
 def _ordering_gap(args: dict) -> float:
@@ -109,44 +113,22 @@ def _ordering_gap(args: dict) -> float:
     return ordering(a, b, p).gap
 
 
-_EVAL_FNS: dict[str, Callable[[dict], EvalResult]] = {
-    "pipq": _eval_closed(lambda p, q: pi_pq(PQParams(p, q)), ("p", "q"), "pi_pq"),
-    "sinpq": _eval_trig("sin", "sin_pq"),
-    "cospq": _eval_trig("cos", "cos_pq"),
-    "tanpq": _eval_trig("tan", "tan_pq"),
-    "kpq": _eval_routed(
-        lambda p, q, k, **kw: K_pq(PQParams(p, q), k, **kw), ("p", "q", "k"), "K_pq"
-    ),
-    "epq": _eval_routed(
-        lambda p, q, k, **kw: E_pq(PQParams(p, q), k, **kw), ("p", "q", "k"), "E_pq"
-    ),
-    "l": _eval_closed(mean_log, ("a", "b"), "L"),
-    "ag": _eval_closed(mean_ag, ("a", "b"), "AG"),
-    "mp": _eval_routed(_mean_mp, ("a", "b", "p"), "Mp"),
-    "kp": _eval_routed(_mean_kp, ("a", "b", "p"), "Kp"),
-    "hyp2f1": _eval_routed(
-        lambda a, b, c, x, tol=HypSeriesSpec.rel_tol: hyp2f1(HypSeriesSpec(a, b, c, x, tol)),
-        ("a", "b", "c", "x"), "hyp2f1", ("tol",),
-    ),
-}
-
-# a table cell is a handler's value; ordering's is the gap M_p - K_p (table-only)
-_TABLE_FNS: dict[str, Callable[[dict], float]] = {
-    **{fn: lambda args, h=h: h(args).value for fn, h in _EVAL_FNS.items()},
-    "ordering": _ordering_gap,
-}
+def _cell(name: str, args: dict) -> float:
+    """A table cell: the row's value; ordering's is the gap M_p - K_p."""
+    return _ordering_gap(args) if name == "ordering" else _evaluate(name, args).value
 
 
-def _canon(fn: str) -> str:
-    return fn.lower().replace("_", "").replace("-", "")
-
-
-def _check_options(ns: argparse.Namespace, fn: str) -> None:
-    """--method and --tol are usage errors where the handler would ignore them."""
-    accepted = getattr(_EVAL_FNS.get(fn), "options", ())
+def _lookup(ns: argparse.Namespace, known: Collection[str], unknown: str) -> str:
+    """The display name --fn spells, if ``known`` holds it; --method and --tol
+    are usage errors where its row does not forward them."""
+    name = _BY_CANON.get(_canon(ns.fn))
+    if name not in known:
+        raise _UsageError(unknown)
+    accepted = _FNS[name][2] if name in _FNS else ()
     for opt in ("method", "tol"):
         if getattr(ns, opt) is not None and opt not in accepted:
             raise _UsageError(f"--{opt} does not apply to --fn {ns.fn}")
+    return name
 
 
 def _parse_axis(flag: str, text: str) -> float | GridSpec:
@@ -169,23 +151,14 @@ def _parse_axis(flag: str, text: str) -> float | GridSpec:
 
 
 def _cmd_eval(ns: argparse.Namespace) -> int:
-    fn = _canon(ns.fn)
-    handler = _EVAL_FNS.get(fn)
-    if handler is None:
-        raise _UsageError(f"unknown function {ns.fn!r}; expected one of {_EVAL_NAMES}")
-    _check_options(ns, fn)
-    args = {f: getattr(ns, f) for f in (*_AXIS_FLAGS, "method", "tol")}
-    r = handler(args)
+    name = _lookup(ns, _FNS, f"unknown function {ns.fn!r}; expected one of {_EVAL_NAMES}")
+    r = _evaluate(name, {f: getattr(ns, f) for f in (*_AXIS_FLAGS, "method", "tol")})
     print(f"{r.value:.15g}  abs_err={r.abs_err:.2e}  method={r.method}")
     return 0
 
 
 def _cmd_table(ns: argparse.Namespace) -> int:
-    fn = _canon(ns.fn)
-    value_of = _TABLE_FNS.get(fn)
-    if value_of is None:
-        raise _UsageError(f"unknown function {ns.fn!r}")
-    _check_options(ns, fn)
+    fn = _lookup(ns, _BY_CANON.values(), f"unknown function {ns.fn!r}")
     fixed: dict = {"method": ns.method, "tol": ns.tol}
     axes: list[tuple[str, list[float]]] = []
     for flag in _AXIS_FLAGS:
@@ -204,7 +177,7 @@ def _cmd_table(ns: argparse.Namespace) -> int:
 
     names = [name for name, _ in axes]
     rows = [
-        [*point, value_of({**fixed, **dict(zip(names, point))})]
+        [*point, _cell(fn, {**fixed, **dict(zip(names, point))})]
         for point in itertools.product(*(pts for _, pts in axes))
     ]
 

@@ -37,10 +37,10 @@ def _check_modulus(k: float) -> None:
 
 
 _NEED = {"connection": "> 1/2 and terms that do not grow", "series": f"<= {SERIES_ARG_MAX}"}
+_QUAD_TOL = 1e-12  # tolerance of the quadrature route
 
 
-def _complete(params: PQParams, m: float, mc: float, method: str, tol: float,
-              second_kind: bool) -> EvalResult:
+def _complete(params: PQParams, m: float, mc: float, method: str, second_kind: bool) -> EvalResult:
     """Shared body of K_pq and E_pq at m = k^q and its exact complement mc.
 
     With a = 1/p* for K and a = -1/p for E, and c = 1/p* + 1/q:
@@ -87,10 +87,10 @@ def _complete(params: PQParams, m: float, mc: float, method: str, tol: float,
         omt = _one_minus_pow(t, tc, q)
         return omt**t_exp * (mc + m * omt) ** -a
 
-    return integrate_singular(integrand, tol)
+    return integrate_singular(integrand, _QUAD_TOL)
 
 
-def K_pq(params: PQParams, k: float, method: str = "auto", tol: float = 1e-12) -> EvalResult:
+def K_pq(params: PQParams, k: float, method: str = "auto") -> EvalResult:
     """Complete (p, q)-elliptic integral of the first kind.
 
     Series route: (pi_pq/2) F(1/p*, 1/q; 1/p* + 1/q; k^q).  Connection route:
@@ -103,14 +103,14 @@ def K_pq(params: PQParams, k: float, method: str = "auto", tol: float = 1e-12) -
     k^q <= 0.99; the quadrature.  A named route raises ValueError outside its
     domain and never falls back; EvalResult.method reports the connection
     route as ``series``.  K equals pi_pq/2 at k = 0 and grows without bound
-    as k -> 1.  ``tol`` is the quadrature tolerance; both series keep a
-    fixed stopping rule.
+    as k -> 1.  The quadrature runs to a fixed absolute tolerance of 1e-12;
+    both series keep a fixed stopping rule.
     """
     _check_modulus(k)
-    return _complete(params, *_pow_pair(k, params.q), method, tol, False)
+    return _complete(params, *_pow_pair(k, params.q), method, False)
 
 
-def E_pq(params: PQParams, k: float, method: str = "auto", tol: float = 1e-12) -> EvalResult:
+def E_pq(params: PQParams, k: float, method: str = "auto") -> EvalResult:
     """Complete (p, q)-elliptic integral of the second kind.
 
     Series route: (pi_pq/2) F(-1/p, 1/q; 1/p* + 1/q; k^q).  Connection route:
@@ -119,15 +119,15 @@ def E_pq(params: PQParams, k: float, method: str = "auto", tol: float = 1e-12) -
     ((1 - k^q t^q) / (1 - t^q))^(1/p) dt.  The pair, the route rule and the
     domains are as for K_pq, with the connection domain
     max(1/p*, 1) max((1 + 1/q)/2, 1) w <= 1.  E equals pi_pq/2 at k = 0 and
-    tends to 1 as k -> 1.  ``tol`` is as for K_pq.
+    tends to 1 as k -> 1.  The tolerances are as for K_pq.
     """
     _check_modulus(k)
-    return _complete(params, *_pow_pair(k, params.q), method, tol, True)
+    return _complete(params, *_pow_pair(k, params.q), method, True)
 
 
 def _k_and_e(params: PQParams, m: float, mc: float) -> tuple[float, float]:
     """(K, E) by ``auto`` at the pair (m, mc)."""
-    return tuple(_complete(params, m, mc, "auto", 1e-12, e).value for e in (False, True))
+    return tuple(_complete(params, m, mc, "auto", e).value for e in (False, True))
 
 
 def dK_dk(params: PQParams, k: float) -> float:

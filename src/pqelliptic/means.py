@@ -52,6 +52,7 @@ __all__ = [
 
 # p values this close to a removable point take the stated limit form
 _LIMIT_TOL = 1e-8
+_INTEGRAL_TOL = 1e-12  # tolerance of the integral routes
 
 _MP_METHODS = ("auto", "elliptic", "hyp_base", "hyp_quad", "integral")
 _KP_METHODS = ("closed", "integral", "hyp_base", "hyp_quad")
@@ -121,11 +122,16 @@ def c_p(p: float) -> float:
 
     The integral equals pi_{p*,p}/2 = (1/p) B(1/p, 1/p), so c_p is simply
     p / B(1/p, 1/p); the formula is continuous through p = 1 where it gives
-    exactly 1.
+    exactly 1.  Below p ~ 2e-3 the beta function leaves the double range and
+    c_p raises ValueError.
     """
     if not (p > 0.0 and math.isfinite(p)):
         raise ValueError(f"c_p requires p > 0, got {p!r}")
-    return p / beta(1.0 / p, 1.0 / p)
+    b = beta(1.0 / p, 1.0 / p)
+    c = p / b if b > 0.0 else math.inf
+    if c == math.inf:
+        raise ValueError(f"c_p overflows at p = {p!r}: B(1/p, 1/p) = {b!r}")
+    return c
 
 
 def _scaled(factor: float, r: EvalResult) -> EvalResult:
@@ -141,7 +147,7 @@ def _over(scale: float, recip: EvalResult) -> EvalResult:
     return EvalResult(value, err, recip.method)
 
 
-def _recip_mp_integral(x: float, p: float, tol: float) -> EvalResult:
+def _recip_mp_integral(x: float, p: float) -> EvalResult:
     """1/M_p(1, x) as c_p times the half-line integral of
     ((t^p + 1)(t^p + x^p))^(-1/p)."""
     xp = x**p
@@ -156,10 +162,10 @@ def _recip_mp_integral(x: float, p: float, tol: float) -> EvalResult:
         sp = s**p
         return s * s * ((1.0 + sp) * (1.0 + xp * sp)) ** -inv_p
 
-    return _scaled(c_p(p), integrate_halfline(f, tol))
+    return _scaled(c_p(p), integrate_halfline(f, _INTEGRAL_TOL))
 
 
-def _recip_kp_integral(x: float, p: float, tol: float) -> EvalResult:
+def _recip_kp_integral(x: float, p: float) -> EvalResult:
     """1/K_p(1, x) = integral_0^1 ((1-s) + x^p s)^(-1/p) ds."""
     xp = x**p
     neg_inv_p = -1.0 / p
@@ -167,7 +173,7 @@ def _recip_kp_integral(x: float, p: float, tol: float) -> EvalResult:
     def f(s: float, sc: float) -> float:
         return (sc + xp * s) ** neg_inv_p
 
-    return integrate_singular(f, tol)
+    return integrate_singular(f, _INTEGRAL_TOL)
 
 
 def _hyp_base(a: float, b: float, z: float) -> EvalResult:
@@ -195,7 +201,7 @@ def _hyp_quad(a: float, b: float, z: float) -> EvalResult:
     )
 
 
-def _recip(x: float, p: float, a: float, method: str, integral: Callable, tol: float) -> EvalResult:
+def _recip(x: float, p: float, a: float, method: str, integral: Callable) -> EvalResult:
     """1/mean(1, x) = F(a, 1/p; 2a; z), z = 1 - x^p, with a = 1/p for M_p and
     a = 1 for K_p, by the route ``_pick_route`` chooses: ``auto`` (M_p only)
     is the first of ``hyp_quad`` (the series in (z/(2-z))^2), ``hyp_base``
@@ -210,11 +216,11 @@ def _recip(x: float, p: float, a: float, method: str, integral: Callable, tol: f
         f"got {zq if r == 'hyp_quad' else z!r} at 1 - x^p = {z!r}",
     )
     if route == "integral":
-        return integral(x, p, tol)
+        return integral(x, p)
     return (_hyp_quad if route == "hyp_quad" else _hyp_base)(a, 1.0 / p, z)
 
 
-def _mean_mp(a: float, b: float, p: float, method: str = "auto", tol: float = 1e-12) -> EvalResult:
+def _mean_mp(a: float, b: float, p: float, method: str = "auto") -> EvalResult:
     """M_p(a, b) with the route that ran and its error; see ``mean_mp``."""
     _check_args(a, b, p, "mean_mp")
     if method not in _MP_METHODS:
@@ -235,11 +241,11 @@ def _mean_mp(a: float, b: float, p: float, method: str = "auto", tol: float = 1e
     if method == "elliptic":
         par = PQParams(p / (p - 1.0), p)
         k = _one_minus_xp(x, p) ** (1.0 / p)
-        return _over(scale, _scaled(2.0 / pi_pq(par), K_pq(par, k, tol=tol)))
-    return _over(scale, _recip(x, p, 1.0 / p, method, _recip_mp_integral, tol))
+        return _over(scale, _scaled(2.0 / pi_pq(par), K_pq(par, k)))
+    return _over(scale, _recip(x, p, 1.0 / p, method, _recip_mp_integral))
 
 
-def mean_mp(a: float, b: float, p: float, method: str = "auto", tol: float = 1e-12) -> float:
+def mean_mp(a: float, b: float, p: float, method: str = "auto") -> float:
     """Interpolating mean M_p for finite p >= 0.
 
     p = 0 gives sqrt(ab) and p = 1 the logarithmic mean, both as stated
@@ -251,15 +257,16 @@ def mean_mp(a: float, b: float, p: float, method: str = "auto", tol: float = 1e-
     z = 1 - x^p, at most 0.99), and a named route outside raises ValueError.
     ``elliptic`` sums the base series itself wherever K_{p*,p} takes its
     series in k^p = 1 - x^p (k^p <= 1/2, or where its connection terms would
-    grow), and its independent connection series in x^p elsewhere.  ``tol``
-    is the quadrature tolerance; series routes keep hyp2f1's fixed stopping
-    rule.  ``_mean_mp`` also returns the kind of route that ran and the
-    kernel's own error estimate.
+    grow), and its independent connection series in x^p elsewhere.  The
+    integral runs to a fixed absolute tolerance of 1e-12 (``elliptic``'s
+    quadrature likewise); series routes keep hyp2f1's fixed stopping rule.
+    ``_mean_mp`` also returns the kind of route that ran and the kernel's
+    own error estimate.
     """
-    return _mean_mp(a, b, p, method, tol).value
+    return _mean_mp(a, b, p, method).value
 
 
-def _mean_kp(a: float, b: float, p: float, method: str = "closed", tol: float = 1e-12) -> EvalResult:
+def _mean_kp(a: float, b: float, p: float, method: str = "closed") -> EvalResult:
     """K_p(a, b) with the route that ran and its error; see ``mean_kp``."""
     _check_args(a, b, p, "mean_kp")
     if method not in _KP_METHODS:
@@ -281,21 +288,22 @@ def _mean_kp(a: float, b: float, p: float, method: str = "closed", tol: float = 
         num = _one_minus_xp(x, p)
         den = _one_minus_xp(x, p - 1.0)
         return _closed_form(scale * ((p - 1.0) / p) * (num / den))
-    return _over(scale, _recip(x, p, 1.0, method, _recip_kp_integral, tol))
+    return _over(scale, _recip(x, p, 1.0, method, _recip_kp_integral))
 
 
-def mean_kp(a: float, b: float, p: float, method: str = "closed", tol: float = 1e-12) -> float:
+def mean_kp(a: float, b: float, p: float, method: str = "closed") -> float:
     """Power-difference mean K_p = ((p-1)/p) (a^p - b^p) / (a^(p-1) - b^(p-1)).
 
     The closed form is valid for every finite real p, with the stated limits
     K_0 = ab/L(a, b) and K_1 = L(a, b) taking over within 1e-8 of the
     removable points.  The integral and hypergeometric representations
     require p > 0, and a series route raises ValueError where its argument
-    exceeds 0.99.  ``tol`` is the quadrature tolerance; series routes keep
-    hyp2f1's fixed stopping rule.  ``_mean_kp`` also returns the kind of
-    route that actually ran and the kernel's own error estimate.
+    exceeds 0.99.  The integral runs to a fixed absolute tolerance of 1e-12;
+    series routes keep hyp2f1's fixed stopping rule.  ``_mean_kp`` also
+    returns the kind of route that actually ran and the kernel's own error
+    estimate.
     """
-    return _mean_kp(a, b, p, method, tol).value
+    return _mean_kp(a, b, p, method).value
 
 
 def quad_transform_check(a: float, b: float, x: float) -> float:

@@ -354,7 +354,8 @@ def integrate_singular(f: Callable[[float, float], float], tol: float = 1e-12) -
     t closer to 1 than about 1.1e-16); neither argument is ever 0.  The error
     estimate is the last level-to-level difference, never less than
     4 eps |value|; failure to meet ``tol`` within the level cap raises
-    ConvergenceError.
+    ConvergenceError.  A non-finite integrand value, or an ArithmeticError
+    (overflow, division by zero) raised by f, raises ValueError.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -363,9 +364,14 @@ def integrate_singular(f: Callable[[float, float], float], tol: float = 1e-12) -
     diff = math.inf
     for level in range(_LEVEL_CAP + 1):
         for t, tc, w in _de_nodes(level):
-            ft = f(t, tc)
+            try:
+                ft = f(t, tc)
+            except ArithmeticError:
+                ft = math.nan
             if not math.isfinite(ft):
-                raise ValueError(f"integrand returned non-finite value near t={t!r}")
+                raise ValueError(
+                    f"integrand returned non-finite value near t={t!r} (1 - t = {tc!r})"
+                )
             terms.append(w * ft)
         value = math.fsum(terms) / (1 << level)
         diff = abs(value - prev)

@@ -11,11 +11,11 @@ from pqelliptic.elliptic import E_pq, K_pq
 from pqelliptic.gentrig import PQParams, arcsin_pq, cos_pq, pi_pq, sin_pq, tan_pq
 from pqelliptic.cli import main
 from pqelliptic.means import mean_kp, mean_log, mean_mp
-from pqelliptic.suites import _ORDERING_PS, _ORDERING_XS, run_suite
+from pqelliptic.suites import _ORDERING_PS, _ORDERING_XS, _TRIG_PAIRS, run_suite
 
 MP_METHODS = ("integral", "elliptic", "hyp_base", "hyp_quad")
 KP_METHODS = ("closed", "integral", "hyp_base", "hyp_quad")
-TRIG_PAIRS = (PQParams(2, 2), PQParams(3, 2), PQParams(2, 3), PQParams(1.5, 4), PQParams(-2, 2))
+TRIG_PAIRS = tuple(PQParams(p, q) for p, q in _TRIG_PAIRS)
 
 
 def report(num, name, bad):

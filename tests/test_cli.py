@@ -116,15 +116,6 @@ def test_eval_ag_at_extreme_scale(capsys):
     assert method == "method=closed_form"
 
 
-def test_eval_mean_honours_tol(capsys):
-    args = ["--fn", "Mp", "--a", "1", "--b", "0.3", "--p", "3", "--method", "integral"]
-    v, default_err, _ = _eval_fields(capsys, args)
-    v_loose, loose_err, method = _eval_fields(capsys, args + ["--tol", "1e-4"])
-    assert loose_err != default_err
-    assert method == "method=quadrature"
-    assert abs(v_loose - v) <= 1e-4
-
-
 def test_eval_usage_errors(capsys):
     assert main(["eval", "--fn", "nosuch", "--p", "2"]) == 2
     assert main(["eval", "--fn", "Kpq", "--p", "2"]) == 2  # missing --q, --k
@@ -163,8 +154,9 @@ def test_hyp2f1_outside_its_domain_exits_1(args, capsys):
 @pytest.mark.parametrize(
     "args",
     (
-        ["--fn", "Mp", "--a", "1", "--b", "1e-30", "--p", "60"],  # ZeroDivisionError
-        # OverflowError in the integrand; auto sums the connection series here
+        # x^p underflows and the integrand raises 0 to a negative power
+        ["--fn", "Mp", "--a", "1", "--b", "1e-30", "--p", "60"],
+        # the integrand overflows; auto sums the connection series here
         ["--fn", "Kpq", "--p", "1.01", "--q", "0.5", "--k", "0.99", "--method", "quadrature"],
     ),
 )
@@ -188,6 +180,12 @@ def test_method_and_tol_only_where_a_route_uses_them(capsys):
         ["eval", "--fn", "pi_pq", "--p", "2", "--q", "2", "--tol", "1e-3"],
         ["table", "--fn", "ordering", "--p", "0.5:2:3", "--x", "0.5", "--method", "hyp_base"],
         ["table", "--fn", "L", "--a", "1:2:3", "--b", "1", "--tol", "1e-3"],
+        # the quadrature tolerance of K, E and the means is fixed: only hyp2f1 takes --tol
+        ["eval", "--fn", "Epq", "--p", "2", "--q", "2", "--k", "0.5", "--method", "quadrature",
+         "--tol", "1e-10"],
+        ["eval", "--fn", "Kpq", "--p", "2", "--q", "2", "--k", "0.5", "--tol", "1e-10"],
+        ["eval", "--fn", "Mp", "--a", "1", "--b", "0.3", "--p", "3", "--tol", "1e-4"],
+        ["table", "--fn", "Kp", "--a", "1", "--b", "0.1:0.5:3", "--p", "3", "--tol", "1e-4"],
     ]
     for argv in bad:
         assert main(argv) == 2, argv
@@ -195,8 +193,7 @@ def test_method_and_tol_only_where_a_route_uses_them(capsys):
     good = [
         ["eval", "--fn", "hyp2f1", "--a", "1", "--b", "1", "--c", "2", "--x", "0.5",
          "--tol", "1e-10"],
-        ["eval", "--fn", "Epq", "--p", "2", "--q", "2", "--k", "0.5", "--method", "quadrature",
-         "--tol", "1e-10"],
+        ["eval", "--fn", "Epq", "--p", "2", "--q", "2", "--k", "0.5", "--method", "quadrature"],
         ["eval", "--fn", "Kp", "--a", "1", "--b", "0.5", "--p", "3", "--method", "integral"],
         ["table", "--fn", "Kpq", "--p", "2", "--q", "2", "--k", "0:0.5:3", "--method", "series"],
     ]

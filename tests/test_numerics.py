@@ -314,6 +314,18 @@ def test_integrate_rejects_bad_tol_and_nonfinite():
         integrate_singular(lambda t, tc: float("inf"), 1e-10)
 
 
+@pytest.mark.parametrize(
+    "f",
+    (lambda t, tc: tc**-1000.0, lambda t, tc: 1.0 / (t - t), lambda t, tc: math.exp(1e3)),
+    ids=("pow_overflow", "division_by_zero", "exp_overflow"),
+)
+def test_integrate_turns_arithmetic_errors_into_value_error(f):
+    # OverflowError and ZeroDivisionError from the integrand are non-finite
+    # values; the message gives 1 - t, which resolves the upper end
+    with pytest.raises(ValueError, match=r"non-finite value near t=.* \(1 - t = "):
+        integrate_singular(f, 1e-10)
+
+
 # ------------------------------------------------------ half-line quadrature
 
 
