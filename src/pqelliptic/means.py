@@ -23,15 +23,15 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .elliptic import K_pq
-from .gentrig import PQParams, pi_pq
+from .elliptic import K_pq, _complete  # K_pq unused: perfbench's tracer replaces means.K_pq
+from .gentrig import PQParams
 from .numerics import (
     SERIES_ARG_MAX,
     EvalResult,
     HypSeriesSpec,
     _closed_form,
-    _one_minus_xp,
     _pick_route,
+    _pow_pair,
     _rounding_err,
     beta,
     hyp2f1,
@@ -50,8 +50,11 @@ __all__ = [
     "quad_transform_check",
 ]
 
-# p values this close to a removable point take the stated limit form
-_LIMIT_TOL = 1e-8
+# p values this close to 0 take the limit form, which is exact to rounding
+# there: |M_p/G - 1| ~ p l^2/16 and |K_p/K_0 - 1| ~ |p| l^2/12, with
+# |l| = |ln(a/b)| <= 1455 for any pair of positive doubles.  The same bound
+# at p = 1 admits no double but 1 itself
+_LIMIT_TOL = 2.0**-71
 _INTEGRAL_TOL = 1e-12  # tolerance of the integral routes
 
 _MP_METHODS = ("auto", "elliptic", "hyp_base", "hyp_quad", "integral")
@@ -90,13 +93,13 @@ def _pow2_scaled(a: float, b: float, e: int) -> tuple[float, float]:
 def mean_log(a: float, b: float) -> float:
     """Logarithmic mean (a - b) / (ln a - ln b), equal to a when a = b.
 
-    Pairs within 1e-12 relative distance are treated as equal; elsewhere,
-    with hi >= lo the pair in order, the denominator is log1p((hi - lo)/lo),
-    stable for nearby arguments, or ln hi - ln lo where that ratio overflows.
+    With hi > lo the pair in order, the denominator is log1p((hi - lo)/lo),
+    stable for nearby arguments (hi - lo is exact there), or ln hi - ln lo
+    where that ratio overflows.
     """
     _check_pair(a, b)
     hi, lo = max(a, b), min(a, b)
-    if hi - lo <= 1e-12 * hi:
+    if hi == lo:
         return a
     rel = (hi - lo) / lo
     return (hi - lo) / (math.log1p(rel) if math.isfinite(rel) else math.log(hi) - math.log(lo))
@@ -134,6 +137,11 @@ def c_p(p: float) -> float:
     return c
 
 
+def _expm1_rel(t: float) -> float:
+    """expm1(t)/t, 1 at t = 0."""
+    return math.expm1(t) / t if t else 1.0
+
+
 def _scaled(factor: float, r: EvalResult) -> EvalResult:
     """factor * r for a positive factor, with the error, its rounding and the route."""
     value = factor * r.value
@@ -147,10 +155,9 @@ def _over(scale: float, recip: EvalResult) -> EvalResult:
     return EvalResult(value, err, recip.method)
 
 
-def _recip_mp_integral(x: float, p: float) -> EvalResult:
+def _recip_mp_integral(xp: float, p: float) -> EvalResult:
     """1/M_p(1, x) as c_p times the half-line integral of
-    ((t^p + 1)(t^p + x^p))^(-1/p)."""
-    xp = x**p
+    ((t^p + 1)(t^p + xp))^(-1/p), xp = x^p."""
     inv_p = 1.0 / p
 
     def f(t: float) -> float:
@@ -165,9 +172,8 @@ def _recip_mp_integral(x: float, p: float) -> EvalResult:
     return _scaled(c_p(p), integrate_halfline(f, _INTEGRAL_TOL))
 
 
-def _recip_kp_integral(x: float, p: float) -> EvalResult:
-    """1/K_p(1, x) = integral_0^1 ((1-s) + x^p s)^(-1/p) ds."""
-    xp = x**p
+def _recip_kp_integral(xp: float, p: float) -> EvalResult:
+    """1/K_p(1, x) = integral_0^1 ((1-s) + xp s)^(-1/p) ds, xp = x^p."""
     neg_inv_p = -1.0 / p
 
     def f(s: float, sc: float) -> float:
@@ -201,13 +207,12 @@ def _hyp_quad(a: float, b: float, z: float) -> EvalResult:
     )
 
 
-def _recip(x: float, p: float, a: float, method: str, integral: Callable) -> EvalResult:
-    """1/mean(1, x) = F(a, 1/p; 2a; z), z = 1 - x^p, with a = 1/p for M_p and
-    a = 1 for K_p, by the route ``_pick_route`` chooses: ``auto`` (M_p only)
-    is the first of ``hyp_quad`` (the series in (z/(2-z))^2), ``hyp_base``
-    (the series in z), each admitting arguments up to SERIES_ARG_MAX, and
-    ``integral``, the mean's integral."""
-    z = _one_minus_xp(x, p)
+def _recip(xp: float, z: float, p: float, a: float, method: str, integral: Callable) -> EvalResult:
+    """1/mean(1, x) = F(a, 1/p; 2a; z) at the pair (xp, z) = (x^p, 1 - x^p),
+    with a = 1/p for M_p and a = 1 for K_p, by the route ``_pick_route``
+    chooses: ``auto`` (M_p only) is the first of ``hyp_quad`` (the series in
+    (z/(2-z))^2), ``hyp_base`` (the series in z), each admitting arguments up
+    to SERIES_ARG_MAX, and ``integral``, the mean's integral in xp."""
     zq = _quad_arg(z)
     route = _pick_route(
         method,
@@ -216,7 +221,7 @@ def _recip(x: float, p: float, a: float, method: str, integral: Callable) -> Eva
         f"got {zq if r == 'hyp_quad' else z!r} at 1 - x^p = {z!r}",
     )
     if route == "integral":
-        return integral(x, p)
+        return integral(xp, p)
     return (_hyp_quad if route == "hyp_quad" else _hyp_base)(a, 1.0 / p, z)
 
 
@@ -238,26 +243,32 @@ def _mean_mp(a: float, b: float, p: float, method: str = "auto") -> EvalResult:
     scale, x = _normalized(a, b)
     if x == 1.0:  # distinct pair whose ratio still rounds to 1
         return _closed_form(scale)
-    if method == "elliptic":
-        par = PQParams(p / (p - 1.0), p)
-        k = _one_minus_xp(x, p) ** (1.0 / p)
-        return _over(scale, _scaled(2.0 / pi_pq(par), K_pq(par, k)))
-    return _over(scale, _recip(x, p, 1.0 / p, method, _recip_mp_integral))
+    xp, z = _pow_pair(x, p)
+    if method == "elliptic":  # K_{p*,p} at k^p = z, the pair taken exactly
+        if xp < sys.float_info.min:  # log x^p, which the connection sum takes, is lost
+            raise ValueError(f"elliptic route requires x^p in the normal range, got {xp!r}")
+        kr = _complete(PQParams(p / (p - 1.0), p), z, xp, "auto", False)
+        return _over(scale, _scaled(c_p(p), kr))
+    return _over(scale, _recip(xp, z, p, 1.0 / p, method, _recip_mp_integral))
 
 
 def mean_mp(a: float, b: float, p: float, method: str = "auto") -> float:
     """Interpolating mean M_p for finite p >= 0.
 
     p = 0 gives sqrt(ab) and p = 1 the logarithmic mean, both as stated
-    limits; elsewhere the pair is normalized to (1, x) and 1/M_p(1, x) is
-    evaluated by the selected representation: ``integral``, ``elliptic``,
-    ``hyp_base`` or ``hyp_quad``.  By the one rule of every quantity,
+    limits, the first for every p <= 2^-71, where it is exact to rounding;
+    elsewhere the pair is normalized to (1, x) and 1/M_p(1, x) is evaluated
+    by the selected representation: ``integral``, ``elliptic``, ``hyp_base``
+    or ``hyp_quad``.  By the one rule of every quantity,
     ``auto`` takes the first of ``hyp_quad``, ``hyp_base`` and ``integral``
     whose domain admits the point (a series argument, (z/(2-z))^2 <= z or
     z = 1 - x^p, at most 0.99), and a named route outside raises ValueError.
-    ``elliptic`` sums the base series itself wherever K_{p*,p} takes its
-    series in k^p = 1 - x^p (k^p <= 1/2, or where its connection terms would
-    grow), and its independent connection series in x^p elsewhere.  The
+    ``elliptic`` is c_p K_{p*,p} with k^p = 1 - x^p, run on the exact pair
+    (x^p, 1 - x^p) that every route takes: it sums the base series itself
+    wherever K_{p*,p} takes its series in k^p (k^p <= 1/2, or where its
+    connection terms would grow), and its independent connection series in
+    x^p elsewhere.  It raises ValueError where c_p leaves the double range
+    (p below about 2e-3) or x^p is below the normal range.  The
     integral runs to a fixed absolute tolerance of 1e-12 (``elliptic``'s
     quadrature likewise); series routes keep hyp2f1's fixed stopping rule.
     ``_mean_mp`` also returns the kind of route that ran and the kernel's
@@ -279,29 +290,34 @@ def _mean_kp(a: float, b: float, p: float, method: str = "closed") -> EvalResult
         e = (math.frexp(a)[1] + math.frexp(b)[1]) // 2  # 2^e near sqrt(ab)
         u, v = _pow2_scaled(a, b, e)
         return _closed_form(math.ldexp(u * v / mean_log(u, v), e))
-    if abs(p - 1.0) <= _LIMIT_TOL:
+    if p == 1.0:
         return _closed_form(mean_log(a, b))
     scale, x = _normalized(a, b)
     if x == 1.0:  # distinct pair whose ratio still rounds to 1
         return _closed_form(scale)
     if method == "closed":
-        num = _one_minus_xp(x, p)
-        den = _one_minus_xp(x, p - 1.0)
-        return _closed_form(scale * ((p - 1.0) / p) * (num / den))
-    return _over(scale, _recip(x, p, 1.0, method, _recip_kp_integral))
+        # ((p-1)/p)(1 - x^p)/(1 - x^(p-1)) = x^c E(-|p l|)/E(-|(p-1) l|), l = ln x,
+        # E(t) = expm1(t)/t = e^t E(-t) and c = clamp(1 - p) in [0, 1]: every
+        # factor lies in (0, 1], so nothing overflows
+        lx = math.log(x)
+        c = min(1.0, max(0.0, 1.0 - p))
+        ratio = _expm1_rel(-abs(p * lx)) / _expm1_rel(-abs((p - 1.0) * lx))
+        return _closed_form(scale * (x**c * ratio))
+    return _over(scale, _recip(*_pow_pair(x, p), p, 1.0, method, _recip_kp_integral))
 
 
 def mean_kp(a: float, b: float, p: float, method: str = "closed") -> float:
     """Power-difference mean K_p = ((p-1)/p) (a^p - b^p) / (a^(p-1) - b^(p-1)).
 
-    The closed form is valid for every finite real p, with the stated limits
-    K_0 = ab/L(a, b) and K_1 = L(a, b) taking over within 1e-8 of the
-    removable points.  The integral and hypergeometric representations
-    require p > 0, and a series route raises ValueError where its argument
-    exceeds 0.99.  The integral runs to a fixed absolute tolerance of 1e-12;
-    series routes keep hyp2f1's fixed stopping rule.  ``_mean_kp`` also
-    returns the kind of route that actually ran and the kernel's own error
-    estimate.
+    The closed form is valid for every finite real p and never overflows (it
+    is evaluated as x^c E(-|p l|) / E(-|(p-1) l|) on the normalized pair, see
+    ``_mean_kp``); the stated limit K_0 = ab/L(a, b) takes over for
+    |p| <= 2^-71, where it is exact to rounding, and K_1 = L(a, b) at p = 1.
+    The integral and hypergeometric representations require p > 0, and a
+    series route raises ValueError where its argument exceeds 0.99.  The
+    integral runs to a fixed absolute tolerance of 1e-12; series routes keep
+    hyp2f1's fixed stopping rule.  ``_mean_kp`` also returns the kind of
+    route that actually ran and the kernel's own error estimate.
     """
     return _mean_kp(a, b, p, method).value
 

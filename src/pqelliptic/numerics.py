@@ -354,9 +354,16 @@ def integrate_singular(f: Callable[[float, float], float], tol: float = 1e-12) -
     t closer to 1 than about 1.1e-16); neither argument is ever 0.  The error
     estimate is the last level-to-level difference, never less than
     4 eps |value|; failure to meet ``tol`` within the level cap raises
-    ConvergenceError.  A non-finite integrand value, or an ArithmeticError
-    (overflow, division by zero) raised by f, raises ValueError.
+    ConvergenceError.  A non-finite integrand value, an ArithmeticError
+    (overflow, division by zero) raised by f, or a sum that overflows raises
+    ValueError.
     """
+    return _tanh_sinh(f, tol, lambda t, tc: f"t={t!r} (1 - t = {tc!r})")
+
+
+def _tanh_sinh(f: Callable[[float, float], float], tol: float, where: Callable) -> EvalResult:
+    """The body of ``integrate_singular``; ``where(t, tc)`` names the abscissa
+    of a node whose integrand value is not finite."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     terms: list[float] = []
@@ -369,11 +376,12 @@ def integrate_singular(f: Callable[[float, float], float], tol: float = 1e-12) -
             except ArithmeticError:
                 ft = math.nan
             if not math.isfinite(ft):
-                raise ValueError(
-                    f"integrand returned non-finite value near t={t!r} (1 - t = {tc!r})"
-                )
+                raise ValueError(f"integrand returned non-finite value near {where(t, tc)}")
             terms.append(w * ft)
-        value = math.fsum(terms) / (1 << level)
+        try:
+            value = math.fsum(terms) / (1 << level)
+        except OverflowError:  # every term is finite, their sum is not
+            raise ValueError("quadrature sum overflows the double range") from None
         diff = abs(value - prev)
         if level >= _MIN_LEVEL and diff <= tol:
             return EvalResult(value, max(diff, _rounding_err(value)), "quadrature")
@@ -391,7 +399,8 @@ def integrate_halfline(f: Callable[[float], float], tol: float = 1e-12) -> EvalR
     substitution keeps full precision at both ends: large t values are formed
     as u divided by the exact complement 1 - u.  Abscissae span the whole
     double range, so integrands must not overflow at huge t; fold through
-    1/t or rely on negative powers underflowing to zero.
+    1/t or rely on negative powers underflowing to zero.  A non-finite value
+    raises ValueError naming the half-line abscissa t.
     """
 
     def f2(u: float, uc: float) -> float:
@@ -400,7 +409,7 @@ def integrate_halfline(f: Callable[[float], float], tol: float = 1e-12) -> EvalR
             return 0.0
         return (f(t) / uc) / uc
 
-    return integrate_singular(f2, tol)
+    return _tanh_sinh(f2, tol, lambda u, uc: f"t={u / uc!r}")
 
 
 def _one_minus_pow(y: float, yc: float, q: float) -> float:

@@ -93,7 +93,7 @@ def test_eval_mean_prints_route_that_ran(capsys):
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: hyp_base route requires")
     cases = [
-        (["--b", "0.5", "--p", "1e-9"], "closed_form"),  # the p -> 0 limit
+        (["--b", "0.5", "--p", "1e-22"], "closed_form"),  # the p -> 0 limit, below 2^-71
         (["--b", "0.5", "--p", "3", "--method", "elliptic"], "series"),  # K_pq series
         (["--b", "1e-5", "--p", "2"], "quadrature"),  # auto past 0.99
     ]

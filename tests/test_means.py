@@ -4,6 +4,7 @@ binary-mean axioms, and the ordering across p = 1."""
 
 import math
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,9 +61,15 @@ def test_log_mean_integral_expression():
         assert math.isclose(mean_log(a, b), oracle, rel_tol=1e-12)
 
 
-def test_log_mean_near_equal_switch():
-    a = 2.0
-    assert mean_log(a, a * (1.0 + 1e-13)) == a
+def test_log_mean_of_nearby_distinct_pairs():
+    # pairs within 1e-12 used to return a, up to 5e-14 off; only hi == lo does now
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for a, rel in ((2.0, 1e-13), (2.0, 1e-12), (1.0, 2.0**-52), (3e-300, 7e-13)):
+            b = a * (1.0 + rel)
+            ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+            ref = (mb - ma) / (mpmath.log(mb) - mpmath.log(ma))
+            assert abs(mpmath.mpf(mean_log(a, b)) / ref - 1) <= 4e-16, (a, rel)
 
 
 def test_log_mean_domain():
@@ -143,6 +150,51 @@ def test_mp_elliptic_vs_integral_agree():
     assert d <= 1e-9
 
 
+def _oracle():
+    """perfbench's 30-digit references (mpmath), as its own tests import them."""
+    pytest.importorskip("mpmath")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import oracle
+
+    return oracle
+
+
+@pytest.mark.parametrize(
+    "x, p",
+    [(1e-6, 3.0), (0.999999, 0.01), (1e-30, 0.5), (1e-6, 1.5), (0.01, 5.0), (0.5, 2e-3)],
+)
+def test_mp_elliptic_takes_the_exact_pair(x, p):
+    # K_{p*,p} took a rounded k = (1 - x^p)^(1/p): the first raised "modulus k
+    # must lie in [0, 1)", the next four were 5e-7 to 2.5e-9 off, the last
+    # returned 1.0 (k underflowed to 0) while the mean is 0.7071
+    ref = _oracle().reference("mean_mp", (1.0, x, p))
+    v = mean_mp(1.0, x, p, "elliptic")
+    assert abs(v - ref.value) <= 1e-9 * ref.value
+
+
+def test_mp_elliptic_out_of_range_raises_value_error():
+    # pi_{p*,p} underflowed and the route raised ZeroDivisionError; x^p
+    # underflowing to 0 leaves no log x^p for K's connection sum
+    with pytest.raises(ValueError, match="^c_p overflows"):
+        mean_mp(1.0, 0.5, 1e-3, "elliptic")
+    with pytest.raises(ValueError, match="^elliptic route requires x\\^p in the normal range"):
+        mean_mp(1.0, 1e-300, 5.0, "elliptic")
+
+
+def test_mp_near_zero_p():
+    # p <= 1e-8 returned sqrt(ab), 3e-4 off at x = 1e-300; the limit now
+    # takes over only where it is exact to rounding
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        for x in (1e-300, 1e-30, 0.5):
+            for p in (1e-8, 1e-9, 1e-12, 1e-20):
+                inv_p = 1 / mpmath.mpf(p)
+                ref = 1 / mpmath.hyp2f1(inv_p, inv_p, 2 * inv_p, 1 - mpmath.mpf(x) ** (1 / inv_p))
+                v = mean_mp(1.0, x, p)
+                assert abs(mpmath.mpf(v) / ref - 1) <= 1e-12, (x, p)
+        assert mean_mp(1.0, 1e-300, 2.0**-71) == 1e-150  # the limit, exact to rounding
+
+
 def test_mp_near_one_continuity():
     for x in (0.2, 0.6):
         l = mean_log(1.0, x)
@@ -208,9 +260,58 @@ def test_kp_methods_agree():
             assert spread <= 1e-9, (p, x, recips)
 
 
-def test_kp_limit_window():
-    assert mean_kp(4.0, 1.0, 1e-9) == mean_kp(4.0, 1.0, 0.0)
-    assert mean_kp(4.0, 1.0, 1.0 + 1e-9) == mean_log(4.0, 1.0)
+def _kp_ref(mpmath, a, b, p):
+    """K_p(a, b) at 40 digits; the limits K_0 and K_1 at p = 0 and 1."""
+    ma, mb, mp_ = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(p)
+    lm = (ma - mb) / (mpmath.log(ma) - mpmath.log(mb))
+    if p == 0:
+        return ma * mb / lm
+    if p == 1:
+        return lm
+    s, x = max(ma, mb), min(ma, mb) / max(ma, mb)
+    lx = mpmath.log(x)
+    return s * (mp_ - 1) / mp_ * mpmath.expm1(mp_ * lx) / mpmath.expm1((mp_ - 1) * lx)
+
+
+def test_kp_near_the_removable_points():
+    # the limits took over within 1e-8 of p = 0 and 1, up to 3.4e-6 off
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for a, b in ((4.0, 1.0), (1.0, 1e-300)):
+            for p in (1e-9, -1e-9, 1e-8, 3e-11, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-15):
+                v = mean_kp(a, b, p)
+                assert abs(mpmath.mpf(v) / _kp_ref(mpmath, a, b, p) - 1) <= 1e-12, (a, b, p)
+
+
+@pytest.mark.parametrize(
+    "a, b, p",
+    [(1.0, 1e-200, -3.0), (1e-200, 1.0, -3.0), (1.0, 1e-300, -31.8), (1.0, 1e-300, 200.0),
+     (1.0, 0.5, -50.0), (1.0, 1e-100, 0.999), (1.0, 1e-30, 1.001), (1e300, 1e-5, -7.0),
+     (1.0, 1e-300, 1e-20), (1.0, 0.3, 2.0**-70)],
+)
+def test_kp_closed_form_never_overflows(a, b, p):
+    # 1 - x^(p-1) overflowed where (1 - p) |ln x| > 709: the first two raised
+    # OverflowError
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        v = mean_kp(a, b, p)
+        assert abs(mpmath.mpf(v) / _kp_ref(mpmath, a, b, p) - 1) <= 1e-12
+
+
+def test_kp_closed_form_at_the_least_subnormal():
+    # mean_kp raised OverflowError here, and ordering with it.  K_p is a
+    # subnormal near 5.5e-321, so it is checked to 1e-12 absolute; M_p, a
+    # normal double, to 1e-12 relative
+    mpmath = pytest.importorskip("mpmath")
+    v = mean_kp(1.0, 5e-324, 1e-3)
+    r = ordering(1.0, 5e-324, 1e-3)
+    m = mean_mp(1.0, 5e-324, 1e-3)
+    assert 5e-324 <= v <= 1.0 and r.gap == m - v
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(v) - _kp_ref(mpmath, 1.0, 5e-324, 1e-3)) <= 1e-12
+        w = mpmath.mpf(5e-324) ** mpmath.mpf(1e-3)
+        ref = 1 / mpmath.hyp2f1(1000, 1000, 2000, 1 - w)
+        assert abs(mpmath.mpf(m) / ref - 1) <= 1e-12
 
 
 def test_kp_validation():

@@ -326,6 +326,13 @@ def test_integrate_turns_arithmetic_errors_into_value_error(f):
         integrate_singular(f, 1e-10)
 
 
+def test_integrate_rejects_a_sum_that_overflows():
+    # each term is finite and its sum is not: fsum raised OverflowError, as
+    # in mean_kp(1, 6.6e-309, 6.18e-7, "integral")
+    with pytest.raises(ValueError, match="sum overflows"):
+        integrate_singular(lambda t, tc: 1e308, 1e-10)
+
+
 # ------------------------------------------------------ half-line quadrature
 
 
@@ -340,6 +347,16 @@ def test_halfline_normalizer_identity():
     # instance of the half-line normalizer
     r = integrate_halfline(lambda t: (1.0 + t * t) ** -1.0, 1e-12)
     assert abs(r.value - 0.5 * math.pi) <= 1e-12
+
+
+def test_halfline_failure_names_the_halfline_abscissa():
+    # the message gave the (0, 1) node, t=1.0, where the integrand saw ~1e16
+    def f(t):
+        return (1.0 + t * t) ** -1.0 if t < 1e10 else math.nan
+
+    with pytest.raises(ValueError, match="non-finite value near t=") as err:
+        integrate_halfline(f, 1e-12)
+    assert float(str(err.value).rsplit("t=", 1)[1]) >= 1e10
 
 
 # ---------------------------------------------------------- invert_monotone
