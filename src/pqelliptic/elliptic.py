@@ -22,7 +22,8 @@ from .numerics import (
     _one_minus_pow,
     _pick_route,
     _pow_pair,
-    _rounding_err,
+    _scaled,
+    _shifted,
     hyp2f1,
     integrate_singular,
     pochhammer,
@@ -68,19 +69,12 @@ def _complete(params: PQParams, m: float, mc: float, method: str, second_kind: b
     )
     if route == "series":
         pi, pi_rel = _pi_pq_rel(params)
-        half = 0.5 * pi
-        r = hyp2f1(HypSeriesSpec(a, inv_q, inv_ps + inv_q, m))
-        value = half * r.value
-        err = half * r.abs_err + _rounding_err(value) + pi_rel * abs(value)
-        return EvalResult(value, err, "series")
+        return _scaled(0.5 * pi, hyp2f1(HypSeriesSpec(a, inv_q, inv_ps + inv_q, m)), pi_rel)
     if route == "connection":
         # summed until the tail bound is below rounding: a few terms more
         r = hyp2f1(_ConnectionSpec(inv_ps, b_log, order, mc, rel_tol=2.0**-53))
         head, scale = (1.0, -mc / (params.p * params.q)) if second_kind else (0.0, -inv_q)
-        tail = scale * r.value
-        value = head + tail
-        err = abs(scale) * r.abs_err + _rounding_err(tail) + _rounding_err(value)
-        return EvalResult(value, err, "series")
+        return _shifted(head, 0.0, _scaled(scale, r))
     q, t_exp = params.q, -1.0 / params.p
 
     def integrand(t: float, tc: float) -> float:

@@ -23,6 +23,8 @@ from .numerics import (
     _pick_route,
     _pow_pair,
     _rounding_err,
+    _scaled,
+    _shifted,
     hyp2f1,
     integrate_singular,
     invert_monotone,
@@ -127,23 +129,17 @@ def _arcsin(params: PQParams, x: float, method: str = "auto") -> EvalResult:
         lambda r: f"{_NEED[r]}, got x = {x!r} for (p, q) = ({params.p:g}, {params.q:g})",
     )
     if route == "series":
-        r = hyp2f1(HypSeriesSpec(inv_p, inv_q, 1.0 + inv_q, m, 2.0**-53))
-        value = x * r.value
-        return EvalResult(value, x * r.abs_err + _rounding_err(value), "series")
+        return _scaled(x, hyp2f1(HypSeriesSpec(inv_p, inv_q, 1.0 + inv_q, m, 2.0**-53)))
     if route == "complement":
         r = hyp2f1(HypSeriesSpec(a, 1.0 - inv_q, a + 1.0, w, 2.0**-53))
-        tail = scale * r.value
-        value = half - tail
         # w^a carries a times the few-eps relative error of w
-        err = half * pi_rel + scale * r.abs_err + (1.0 + a) * _rounding_err(tail)
-        return EvalResult(value, err + _rounding_err(value), "series")
+        return _shifted(half, half * pi_rel, _scaled(-scale, r, a * _rounding_err(1.0)))
 
     def integrand(s: float, sc: float) -> float:
         # t = x s, so 1 - t^q = (1 - x^q) + x^q (1 - s^q)
         return (w + m * _one_minus_pow(s, sc, q)) ** -inv_p
 
-    r = integrate_singular(integrand, _ARCSIN_TOL)
-    return EvalResult(x * r.value, x * r.abs_err, "quadrature")
+    return _scaled(x, integrate_singular(integrand, _ARCSIN_TOL))
 
 
 def arcsin_pq(params: PQParams, x: float, method: str = "auto") -> float:

@@ -30,9 +30,10 @@ from .numerics import (
     EvalResult,
     HypSeriesSpec,
     _closed_form,
+    _over,
     _pick_route,
     _pow_pair,
-    _rounding_err,
+    _scaled,
     beta,
     hyp2f1,
     integrate_halfline,
@@ -140,19 +141,6 @@ def c_p(p: float) -> float:
 def _expm1_rel(t: float) -> float:
     """expm1(t)/t, 1 at t = 0."""
     return math.expm1(t) / t if t else 1.0
-
-
-def _scaled(factor: float, r: EvalResult) -> EvalResult:
-    """factor * r for a positive factor, with the error, its rounding and the route."""
-    value = factor * r.value
-    return EvalResult(value, factor * r.abs_err + _rounding_err(value), r.method)
-
-
-def _over(scale: float, recip: EvalResult) -> EvalResult:
-    """scale / recip, with recip's relative error, the rounding and the route."""
-    value = scale / recip.value
-    err = value * recip.abs_err / recip.value + _rounding_err(value)
-    return EvalResult(value, err, recip.method)
 
 
 def _recip_mp_integral(xp: float, p: float) -> EvalResult:

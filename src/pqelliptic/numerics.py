@@ -71,6 +71,27 @@ def _closed_form(value: float) -> EvalResult:
     return EvalResult(value, max(_rounding_err(value), _SUBNORMAL_SPACING), "closed_form")
 
 
+def _scaled(factor: float, r: EvalResult, rel: float = 0.0) -> EvalResult:
+    """factor * r with r's route: r's error times |factor|, the product's
+    rounding, and rel |value| for the factor's own relative error rel."""
+    value = factor * r.value
+    err = abs(factor) * r.abs_err + _rounding_err(value) + rel * abs(value)
+    return EvalResult(value, err, r.method)
+
+
+def _shifted(head: float, head_err: float, r: EvalResult) -> EvalResult:
+    """head + r with r's route: head's error head_err, r's error and the sum's rounding."""
+    value = head + r.value
+    return EvalResult(value, head_err + r.abs_err + _rounding_err(value), r.method)
+
+
+def _over(scale: float, recip: EvalResult) -> EvalResult:
+    """scale / recip, with recip's relative error, the rounding and the route."""
+    value = scale / recip.value
+    err = value * recip.abs_err / recip.value + _rounding_err(value)
+    return EvalResult(value, err, recip.method)
+
+
 def _pick_route(method: str, admits: dict[str, bool], need: Callable[[str], str]) -> str:
     """The route a call runs, by the one rule of every quantity with routes.
 
