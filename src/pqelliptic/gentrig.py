@@ -33,7 +33,7 @@ from .numerics import (
 __all__ = ["PQParams", "arcsin_pq", "cos_pq", "pi_pq", "sin_pq", "tan_pq"]
 
 _ARCSIN_TOL = 1e-13  # tolerance of arcsin_pq's quadrature route
-_SIN_TOL = 1e-12  # residual in theta at which sin_pq's inversion stops
+_SIN_TOL = 1e-12  # sin_pq's residual in theta, relative below theta = 1; see _theta_tol
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,10 @@ def _arcsin(params: PQParams, x: float, method: str = "auto") -> EvalResult:
     - ``quadrature``: x integral_0^1 (1 - m s^q)^(-1/p) ds, each
       1 - m s^q formed as w + m (1 - s^q), run to _ARCSIN_TOL.
 
+    Each route's result comes from ``numerics._scaled`` and ``_shifted``,
+    which carry into abs_err the kernel's error times its factor, pi_pq's
+    rounding, w^a's relative error and the rounding of each product and sum.
+
     Both series are summed until a term falls below rounding.  ``auto``
     takes the first of series, complement and quadrature that admits x; a
     named route outside its domain raises ValueError.  Both series report
@@ -152,11 +156,21 @@ def arcsin_pq(params: PQParams, x: float, method: str = "auto") -> float:
     return _arcsin(params, x, method).value
 
 
+def _theta_tol(theta: float) -> float:
+    """The residual in theta at which sin_pq's inversion stops: _SIN_TOL
+    times min(1, theta), and never below ulp(theta)."""
+    return max(_SIN_TOL * min(1.0, theta), math.ulp(theta))
+
+
 def sin_pq(params: PQParams, theta: float) -> float:
     """Inverse of arcsin_pq, increasing from [0, pi_pq/2] onto [0, 1].
 
     Endpoints are exact; interior values come from monotone inversion of the
-    defining integral to a residual of _SIN_TOL in theta.
+    defining integral to a residual of ``_theta_tol(theta)`` in theta,
+    relative below theta = 1, so tiny theta and a tiny pi_pq/2 keep their
+    digits.  The integrand (1 - t^q)^(-1/p) is at least 1 for p > 1 and at
+    most 1 for p < 0, so arcsin_pq x >= x or <= x: the inversion's bracket
+    is [0, min(1, theta)] or [min(1, theta), 1].
     """
     half = 0.5 * pi_pq(params)
     if not 0.0 <= theta <= half:
@@ -165,7 +179,11 @@ def sin_pq(params: PQParams, theta: float) -> float:
         return 0.0
     if theta == half:
         return 1.0
-    return invert_monotone(lambda x: arcsin_pq(params, x), theta, 0.0, 1.0, _SIN_TOL)
+    t1 = min(1.0, theta)
+    lo, hi = (0.0, t1) if params.p > 1.0 else (t1, 1.0)
+    if lo == hi:  # theta >= 1 > p: pi_pq/2 exceeds 1 only by its rounding
+        return 1.0
+    return invert_monotone(lambda x: arcsin_pq(params, x), theta, lo, hi, _theta_tol(theta))
 
 
 def _cos_from_sin(s: float, q: float) -> float:
@@ -210,11 +228,11 @@ def _sin_pq(params: PQParams, theta: float, fn: str) -> EvalResult:
     """sin_pq, cos_pq or tan_pq (``fn`` "sin", "cos" or "tan") at theta as an
     EvalResult: the public value with its error and route.
 
-    The inversion stops at |arcsin_pq(s) - theta| <= _SIN_TOL, and
+    The inversion stops at |arcsin_pq(s) - theta| <= _theta_tol(theta), and
     arcsin_pq(s) is within its own abs_err, so s = sin_pq theta' for some
-    theta' within _SIN_TOL + abs_err of theta.  abs_err is that width times
-    |d value/d theta| at s, plus the value's rounding.  With w = 1 - s^q =
-    cos_pq^q the derivatives are sin' = cos^(q/p) = w^(1/p),
+    theta' within _theta_tol(theta) + abs_err of theta.  abs_err is that
+    width times |d value/d theta| at s, plus the value's rounding.  With
+    w = 1 - s^q = cos_pq^q the derivatives are sin' = cos^(q/p) = w^(1/p),
     |cos'| = sin^(q-1) cos^(1-q/p*) = s^(q-1) w^(1/q - 1/p*) and
     tan' = cos^(-1-q/p*) = w^(-1/q - 1/p*).  ``method`` is the route
     arcsin_pq took at s, where the inversion stopped.  theta = 0 and
@@ -232,4 +250,5 @@ def _sin_pq(params: PQParams, theta: float, fn: str) -> EvalResult:
         return _closed_form(value)
     r = _arcsin(params, s)
     gain = _theta_gain(s, _pow_pair(s, q)[1], e_s, e_w)
-    return EvalResult(value, (_SIN_TOL + r.abs_err) * gain + _rounding_err(value), r.method)
+    err = (_theta_tol(theta) + r.abs_err) * gain + _rounding_err(value)
+    return EvalResult(value, err, r.method)

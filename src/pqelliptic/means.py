@@ -74,7 +74,9 @@ def _check_args(a: float, b: float, p: float, fn: str) -> None:
 
 
 def _normalized(a: float, b: float) -> tuple[float, float]:
-    """Scale and ratio (scale, x) with x = min/max in (0, 1]."""
+    """Scale and ratio (scale, x) with x = min/max in (0, 1].  x < 1 for a
+    distinct pair: the spacing below max is at least 2^-53 max, so
+    min/max <= 1 - 2^-53, itself a double."""
     scale = max(a, b)
     x = min(a, b) / scale
     if x == 0.0:
@@ -229,8 +231,6 @@ def _mean_mp(a: float, b: float, p: float, method: str = "auto") -> EvalResult:
     if p == 1.0:
         return _closed_form(mean_log(a, b))
     scale, x = _normalized(a, b)
-    if x == 1.0:  # distinct pair whose ratio still rounds to 1
-        return _closed_form(scale)
     xp, z = _pow_pair(x, p)
     if method == "elliptic":  # K_{p*,p} at k^p = z, the pair taken exactly
         if xp < sys.float_info.min:  # log x^p, which the connection sum takes, is lost
@@ -281,8 +281,6 @@ def _mean_kp(a: float, b: float, p: float, method: str = "closed") -> EvalResult
     if p == 1.0:
         return _closed_form(mean_log(a, b))
     scale, x = _normalized(a, b)
-    if x == 1.0:  # distinct pair whose ratio still rounds to 1
-        return _closed_form(scale)
     if method == "closed":
         # ((p-1)/p)(1 - x^p)/(1 - x^(p-1)) = x^c E(-|p l|)/E(-|(p-1) l|), l = ln x,
         # E(t) = expm1(t)/t = e^t E(-t) and c = clamp(1 - p) in [0, 1]: every

@@ -2,9 +2,11 @@
 
 Gamma/beta/digamma helpers, the Gauss hypergeometric series and its
 connection series in 1 - z, double-exponential (tanh-sinh) quadrature for
-integrands with algebraic endpoint singularities, and bracketed inversion of
-monotone functions.  Everything is a pure function of its arguments; the
-only module state is an idempotent cache of quadrature nodes.
+integrands with algebraic endpoint singularities, bracketed inversion of
+monotone functions, and the three compositions (``_scaled``, ``_shifted``,
+``_over``) by which a route turns a kernel's result into its own, error
+included.  Everything is a pure function of its arguments; the only module
+state is an idempotent cache of quadrature nodes.
 """
 
 from __future__ import annotations
@@ -434,14 +436,13 @@ def integrate_halfline(f: Callable[[float], float], tol: float = 1e-12) -> EvalR
 
 
 def _one_minus_pow(y: float, yc: float, q: float) -> float:
-    """1 - y^q for y in [0, 1), given the exact complement yc = 1 - y.
+    """1 - y^q for y in (0, 1), given the exact complement yc = 1 - y; a
+    quadrature node is never 0.
 
     Evaluated through expm1/log1p so no precision is lost when y is close to
     either endpoint; this is what makes the complement-aware integrands above
     worth having.
     """
-    if y <= 0.0:
-        return 1.0
     lg = math.log1p(-yc) if yc < 0.5 else math.log(y)
     return -math.expm1(q * lg)
 

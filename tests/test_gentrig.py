@@ -237,6 +237,65 @@ def test_sin_domain():
             sin_pq(par, bad)
 
 
+def _mp_arcsin(mpmath, par, s):
+    ip, iq = 1 / mpmath.mpf(par.p), 1 / mpmath.mpf(par.q)
+    return s * mpmath.hyp2f1(ip, iq, 1 + iq, mpmath.mpf(s) ** par.q)
+
+
+def _theta_residual_ok(mpmath, par, s, theta):
+    """|arcsin_pq(s) - theta| within the inversion's relative tolerance, by mpmath."""
+    tol = max(1e-12 * min(1.0, theta), math.ulp(theta))
+    return abs(_mp_arcsin(mpmath, par, s) - theta) <= tol
+
+
+def test_sin_near_zero_keeps_its_digits():
+    # every theta <= 1e-12 used to return the bracket end 0
+    mpmath = pytest.importorskip("mpmath")
+    par = PQParams(2, 2)
+    with mpmath.workdps(40):
+        assert _theta_residual_ok(mpmath, par, sin_pq(par, 5e-13), 5e-13)
+    for theta in (1e-100, 1e-300, 1e-320):
+        assert sin_pq(par, theta) == theta
+
+
+def test_sin_past_one_where_pi_pq_rounds_above_two():
+    # for p < 0, pi_pq/2 < 1, but at p = -1e17 it rounds to 1 + 4e-16; the
+    # bracket [min(1, theta), 1] is then empty and sin_pq is 1
+    par = PQParams(-1e17, 2)
+    theta = math.nextafter(1.0, 2.0)
+    assert theta < 0.5 * pi_pq(par)
+    assert sin_pq(par, theta) == 1.0
+
+
+def test_cos_near_zero_with_small_q_matches_mpmath():
+    # cos = (1 - s^q)^(1/q) is steep at s = 0 for q < 1; it used to return 1.0
+    mpmath = pytest.importorskip("mpmath")
+    par, theta = PQParams(2, 0.05), 1e-13
+    with mpmath.workdps(40):
+        s = mpmath.findroot(lambda x: _mp_arcsin(mpmath, par, x) - theta, mpmath.mpf(theta))
+        ref = (1 - s**par.q) ** (1 / mpmath.mpf(par.q))
+        assert abs(cos_pq(par, theta) / ref - 1) <= 1e-12
+
+
+def test_sin_where_half_period_is_below_the_old_tolerance():
+    # pi_pq/2 = 3.4e-23 here; sin_pq used to return 0.0 against 1.2269e-9
+    mpmath = pytest.importorskip("mpmath")
+    par = PQParams(-0.01, 0.05)
+    theta = 0.999999 * 0.5 * pi_pq(par)
+    s = sin_pq(par, theta)
+    with mpmath.workdps(60):
+        assert _theta_residual_ok(mpmath, par, s, theta)
+        # Newton with the exact derivative; arcsin_pq is flat here (slope 5e-20)
+        root = mpmath.findroot(
+            lambda x: _mp_arcsin(mpmath, par, x) - theta,
+            mpmath.mpf(s),
+            solver="newton",
+            df=lambda x: (1 - x**par.q) ** (-1 / mpmath.mpf(par.p)),
+        )
+    assert abs(s - float(root)) <= gentrig._sin_pq(par, theta, "sin").abs_err
+    assert abs(s / float(root) - 1) <= 1e-6
+
+
 # ------------------------------------------------------------- cos and tan
 
 
