@@ -5,16 +5,7 @@ monotone inversion) they share."""
 
 from .elliptic import E_pq, K_pq, dE_dk, dK_dk, legendre_residual, moment_sin_pq
 from .gentrig import PQParams, arcsin_pq, cos_pq, pi_pq, sin_pq, tan_pq
-from .means import (
-    MeanOrdering,
-    c_p,
-    mean_ag,
-    mean_kp,
-    mean_log,
-    mean_mp,
-    ordering,
-    quad_transform_check,
-)
+from .means import MeanOrdering, c_p, mean_ag, mean_kp, mean_log, mean_mp, ordering
 from .numerics import (
     ConvergenceError,
     EvalResult,
@@ -60,7 +51,6 @@ __all__ = [
     "ordering",
     "pi_pq",
     "pochhammer",
-    "quad_transform_check",
     "sin_pq",
     "tan_pq",
 ]

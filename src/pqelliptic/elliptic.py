@@ -39,6 +39,17 @@ def _check_modulus(k: float) -> None:
 
 _NEED = {"connection": "> 1/2 and terms that do not grow", "series": f"<= {SERIES_ARG_MAX}"}
 _QUAD_TOL = 1e-12  # tolerance of the quadrature route
+# K's and E's routes in auto's order, each mapped to its independence class
+_ROUTES = {"connection": "log connection", "series": "Gauss series", "quadrature": "quadrature"}
+
+
+def _admits(params: PQParams, m: float, mc: float, second_kind: bool) -> tuple[bool, bool, bool]:
+    """Whether each route of _ROUTES admits (m, mc) = (k^q, 1 - k^q): the
+    connection series (of order 0 for K, 1 for E) where m > 1/2 and its terms
+    do not grow, the series where m <= SERIES_ARG_MAX, the quadrature always."""
+    order = 1 if second_kind else 0
+    fits = m > 0.5 and _connection_domain(1.0 / params.p_star, 1.0 / params.q + order, order, mc)
+    return fits, m <= SERIES_ARG_MAX, True
 
 
 def _complete(params: PQParams, m: float, mc: float, method: str, second_kind: bool) -> EvalResult:
@@ -54,17 +65,15 @@ def _complete(params: PQParams, m: float, mc: float, method: str, second_kind: b
       cancels against pi_pq/2;
     - ``quadrature``: integral_0^1 (1 - t^q)^(-1/p) (mc + m (1 - t^q))^(-a) dt.
 
-    ``_pick_route`` chooses: ``auto`` is the first of connection (m > 1/2
-    and terms that do not grow; the sum's order is 0 for K and 1 for E by
-    construction), series (m <= SERIES_ARG_MAX) and quadrature.
+    ``_pick_route`` chooses among the routes ``_admits`` admits: ``auto`` is
+    the first of connection, series and quadrature.
     """
     inv_ps, inv_q = 1.0 / params.p_star, 1.0 / params.q
     a = -1.0 / params.p if second_kind else inv_ps
-    order, b_log = (1, 1.0 + inv_q) if second_kind else (0, inv_q)
-    fits = m > 0.5 and _connection_domain(inv_ps, b_log, order, mc)
     route = _pick_route(
         method,
-        {"connection": fits, "series": m <= SERIES_ARG_MAX, "quadrature": True},
+        _ROUTES,
+        _admits(params, m, mc, second_kind),
         lambda r: f"k^q {_NEED[r]}, got k^q = {m:g} for (p, q) = ({params.p:g}, {params.q:g})",
     )
     if route == "series":
@@ -72,7 +81,8 @@ def _complete(params: PQParams, m: float, mc: float, method: str, second_kind: b
         return _scaled(0.5 * pi, hyp2f1(HypSeriesSpec(a, inv_q, inv_ps + inv_q, m)), pi_rel)
     if route == "connection":
         # summed until the tail bound is below rounding: a few terms more
-        r = hyp2f1(_ConnectionSpec(inv_ps, b_log, order, mc, rel_tol=2.0**-53))
+        order = 1 if second_kind else 0
+        r = hyp2f1(_ConnectionSpec(inv_ps, inv_q + order, order, mc, rel_tol=2.0**-53))
         head, scale = (1.0, -mc / (params.p * params.q)) if second_kind else (0.0, -inv_q)
         return _shifted(head, 0.0, _scaled(scale, r))
     q, t_exp = params.q, -1.0 / params.p

@@ -71,6 +71,8 @@ def _pi_pq_rel(params: PQParams) -> tuple[float, float]:
     return (2.0 / params.q) * b, rel
 
 
+# arcsin_pq's routes in auto's order, each mapped to its independence class
+_ROUTES = {"series": "Gauss series", "complement": "15.3.6 connection", "quadrature": "quadrature"}
 _NEED = {
     "series": "x^q <= 1/2 and terms that do not grow",
     "complement": "1 - x^q <= 1/2, terms that do not grow and a tail that "
@@ -125,11 +127,8 @@ def _arcsin(params: PQParams, x: float, method: str = "auto") -> EvalResult:
         complement = err_max <= _ARCSIN_TOL * (half - tail_max)
     route = _pick_route(
         method,
-        {
-            "series": m <= 0.5 and max(abs(inv_p), 1.0) * m <= 1.0,
-            "complement": complement,
-            "quadrature": True,
-        },
+        _ROUTES,
+        (m <= 0.5 and max(abs(inv_p), 1.0) * m <= 1.0, complement, True),
         lambda r: f"{_NEED[r]}, got x = {x!r} for (p, q) = ({params.p:g}, {params.q:g})",
     )
     if route == "series":

@@ -48,7 +48,6 @@ __all__ = [
     "mean_log",
     "mean_mp",
     "ordering",
-    "quad_transform_check",
 ]
 
 # p values this close to 0 take the limit form, which is exact to rounding
@@ -58,8 +57,13 @@ __all__ = [
 _LIMIT_TOL = 2.0**-71
 _INTEGRAL_TOL = 1e-12  # tolerance of the integral routes
 
-_MP_METHODS = ("auto", "elliptic", "hyp_base", "hyp_quad", "integral")
-_KP_METHODS = ("closed", "integral", "hyp_base", "hyp_quad")
+# each mean's routes mapped to their independence classes, M_p's in auto's
+# order (K_p has no auto); M_p's elliptic route has the class of the
+# K_{p*,p} route it runs, which elliptic._admits decides at each point
+_MP_ROUTES = {"hyp_quad": "quadratic transformation", "hyp_base": "Gauss series",
+              "integral": "quadrature", "elliptic": None}
+_KP_ROUTES = {"closed": "closed form", "integral": "quadrature", "hyp_base": "Gauss series",
+              "hyp_quad": "quadratic transformation"}
 
 
 def _check_pair(a: float, b: float) -> None:
@@ -197,19 +201,30 @@ def _hyp_quad(a: float, b: float, z: float) -> EvalResult:
     )
 
 
-def _recip(xp: float, z: float, p: float, a: float, method: str, integral: Callable) -> EvalResult:
-    """1/mean(1, x) = F(a, 1/p; 2a; z) at the pair (xp, z) = (x^p, 1 - x^p),
-    with a = 1/p for M_p and a = 1 for K_p, by the route ``_pick_route``
-    chooses: ``auto`` (M_p only) is the first of ``hyp_quad`` (the series in
-    (z/(2-z))^2), ``hyp_base`` (the series in z), each admitting arguments up
-    to SERIES_ARG_MAX, and ``integral``, the mean's integral in xp."""
+def _recip(
+    method: str, routes: dict, x: float, p: float, a: float, integral: Callable
+) -> EvalResult:
+    """1/mean(1, x) = F(a, 1/p; 2a; z), a = 1/p for M_p and 1 for K_p, at the
+    pair (xp, z) = (x^p, 1 - x^p), formed once, by the route of ``routes`` that
+    ``_pick_route`` chooses.  ``hyp_quad`` and ``hyp_base`` sum the series in
+    (z/(2-z))^2 and in z, up to SERIES_ARG_MAX; ``elliptic`` (M_p) is
+    c_p K_{p*,p} at k^p = z, for x^p in the normal range, as its connection
+    sum takes log x^p; ``integral`` admits every pair."""
+    xp, z = _pow_pair(x, p)
     zq = _quad_arg(z)
+    admits = {"hyp_quad": zq <= SERIES_ARG_MAX, "hyp_base": z <= SERIES_ARG_MAX,
+              "elliptic": xp >= sys.float_info.min}
     route = _pick_route(
         method,
-        {"hyp_quad": zq <= SERIES_ARG_MAX, "hyp_base": z <= SERIES_ARG_MAX, "integral": True},
-        lambda r: f"a series argument <= {SERIES_ARG_MAX}, "
+        routes,
+        tuple(admits.get(r, True) for r in routes),
+        lambda r: f"x^p in the normal range, got {xp!r}"
+        if r == "elliptic"
+        else f"a series argument <= {SERIES_ARG_MAX}, "
         f"got {zq if r == 'hyp_quad' else z!r} at 1 - x^p = {z!r}",
     )
+    if route == "elliptic":
+        return _scaled(c_p(p), _complete(PQParams(p / (p - 1.0), p), z, xp, "auto", False))
     if route == "integral":
         return integral(xp, p)
     return (_hyp_quad if route == "hyp_quad" else _hyp_base)(a, 1.0 / p, z)
@@ -218,8 +233,8 @@ def _recip(xp: float, z: float, p: float, a: float, method: str, integral: Calla
 def _mean_mp(a: float, b: float, p: float, method: str = "auto") -> EvalResult:
     """M_p(a, b) with the route that ran and its error; see ``mean_mp``."""
     _check_args(a, b, p, "mean_mp")
-    if method not in _MP_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {_MP_METHODS}")
+    if method != "auto" and method not in _MP_ROUTES:
+        raise ValueError(f"unknown method {method!r}; expected one of {('auto', *_MP_ROUTES)}")
     if not p >= 0.0:
         raise ValueError(f"mean_mp requires p >= 0, got {p!r}")
     if a == b:
@@ -231,13 +246,7 @@ def _mean_mp(a: float, b: float, p: float, method: str = "auto") -> EvalResult:
     if p == 1.0:
         return _closed_form(mean_log(a, b))
     scale, x = _normalized(a, b)
-    xp, z = _pow_pair(x, p)
-    if method == "elliptic":  # K_{p*,p} at k^p = z, the pair taken exactly
-        if xp < sys.float_info.min:  # log x^p, which the connection sum takes, is lost
-            raise ValueError(f"elliptic route requires x^p in the normal range, got {xp!r}")
-        kr = _complete(PQParams(p / (p - 1.0), p), z, xp, "auto", False)
-        return _over(scale, _scaled(c_p(p), kr))
-    return _over(scale, _recip(xp, z, p, 1.0 / p, method, _recip_mp_integral))
+    return _over(scale, _recip(method, _MP_ROUTES, x, p, 1.0 / p, _recip_mp_integral))
 
 
 def mean_mp(a: float, b: float, p: float, method: str = "auto") -> float:
@@ -265,11 +274,32 @@ def mean_mp(a: float, b: float, p: float, method: str = "auto") -> float:
     return _mean_mp(a, b, p, method).value
 
 
+def _kp_ratio(p: float, lx: float) -> float:
+    """E(-|p l|) / E(-|(p-1) l|), E(t) = expm1(t)/t, at l = lx = ln x."""
+    return _expm1_rel(-abs(p * lx)) / _expm1_rel(-abs((p - 1.0) * lx))
+
+
+def _kp_closed_wide(lo: float, hi: float, p: float) -> EvalResult:
+    """K_p(lo, hi) by the closed form where x = lo/hi is subnormal, with only
+    the result rounded at the subnormal spacing: x = y 2^n stays in frexp
+    parts, hi x^c = lo x^s with s = c - 1 = clamp(-p) in [-1, 0], s n is
+    split so that its integer part k is exact, and 2^(e_lo + k) comes last.
+    The error, below 3 eps on 40,000 points against mpmath, is taken as 8 eps."""
+    (m, e), (mh, eh) = math.frexp(lo), math.frexp(hi)
+    n = e - eh
+    s = min(0.0, max(-1.0, -p))
+    s1 = math.floor(s * 2.0**40) / 2.0**40  # s1 n is exact, (s - s1) n below 2^-29
+    k = math.floor(s1 * n)
+    g = m ** (1.0 + s) * mh**-s * 2.0 ** (s1 * n - k + (s - s1) * n)  # lo x^s / 2^(e_lo + k)
+    value = math.ldexp(g * _kp_ratio(p, math.log(m / mh) + n * math.log(2.0)), e + k)
+    return _scaled(1.0, _closed_form(value), 4.0 * sys.float_info.epsilon)
+
+
 def _mean_kp(a: float, b: float, p: float, method: str = "closed") -> EvalResult:
     """K_p(a, b) with the route that ran and its error; see ``mean_kp``."""
     _check_args(a, b, p, "mean_kp")
-    if method not in _KP_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {_KP_METHODS}")
+    if method not in _KP_ROUTES:
+        raise ValueError(f"unknown method {method!r}; expected one of {tuple(_KP_ROUTES)}")
     if method != "closed" and not p > 0.0:
         raise ValueError(f"the {method} representation requires p > 0, got {p!r}")
     if a == b:
@@ -285,11 +315,12 @@ def _mean_kp(a: float, b: float, p: float, method: str = "closed") -> EvalResult
         # ((p-1)/p)(1 - x^p)/(1 - x^(p-1)) = x^c E(-|p l|)/E(-|(p-1) l|), l = ln x,
         # E(t) = expm1(t)/t = e^t E(-t) and c = clamp(1 - p) in [0, 1]: every
         # factor lies in (0, 1], so nothing overflows
+        if x < sys.float_info.min:
+            return _kp_closed_wide(min(a, b), scale, p)
         lx = math.log(x)
         c = min(1.0, max(0.0, 1.0 - p))
-        ratio = _expm1_rel(-abs(p * lx)) / _expm1_rel(-abs((p - 1.0) * lx))
-        return _closed_form(scale * (x**c * ratio))
-    return _over(scale, _recip(*_pow_pair(x, p), p, 1.0, method, _recip_kp_integral))
+        return _closed_form(scale * (x**c * _kp_ratio(p, lx)))
+    return _over(scale, _recip(method, _KP_ROUTES, x, p, 1.0, _recip_kp_integral))
 
 
 def mean_kp(a: float, b: float, p: float, method: str = "closed") -> float:
@@ -306,13 +337,6 @@ def mean_kp(a: float, b: float, p: float, method: str = "closed") -> float:
     route that actually ran and the kernel's own error estimate.
     """
     return _mean_kp(a, b, p, method).value
-
-
-def quad_transform_check(a: float, b: float, x: float) -> float:
-    """Absolute residual of the quadratic transformation at (a, b, x):
-    |F(a, b; 2a; x) - (1 - x/2)^(-b) F(b/2, (b+1)/2; a + 1/2; (x/(2-x))^2)|,
-    for |x| < 1.  x = 1 raises ValueError: the series in x is not summed there."""
-    return abs(_hyp_base(a, b, x).value - _hyp_quad(a, b, x).value)
 
 
 @dataclass(frozen=True)

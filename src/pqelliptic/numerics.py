@@ -94,24 +94,27 @@ def _over(scale: float, recip: EvalResult) -> EvalResult:
     return EvalResult(value, err, recip.method)
 
 
-def _pick_route(method: str, admits: dict[str, bool], need: Callable[[str], str]) -> str:
+def _pick_route(method: str, routes: dict, admits: tuple, need: Callable[[str], str]) -> str:
     """The route a call runs, by the one rule of every quantity with routes.
 
-    ``admits`` maps each route, in ``auto``'s order, to whether its domain
-    admits the point.  ``auto`` is the first route that admits it; a named
-    route outside its domain raises ValueError "<route> route requires
-    <need(route)>", built only then; an unknown name raises ValueError.
+    ``routes`` is the quantity's table, each route in ``auto``'s order mapped
+    to its independence class (routes of one class sum the same series or
+    integral, so they do not check each other); ``admits`` says, in that
+    order, whether each route's domain admits the point.  ``auto`` is the
+    first route that admits it; a named route outside its domain raises
+    ValueError "<route> route requires <need(route)>", built only then; an
+    unknown name raises ValueError.
     """
     if method == "auto":
-        for route, ok in admits.items():
+        for route, ok in zip(routes, admits):
             if ok:
                 return route
-    ok = admits.get(method)
-    if ok is None:
-        raise ValueError(f"unknown method {method!r}; expected one of {('auto', *admits)}")
-    if not ok:
-        raise ValueError(f"{method} route requires {need(method)}")
-    return method
+    for route, ok in zip(routes, admits):
+        if route == method:
+            if not ok:
+                raise ValueError(f"{method} route requires {need(method)}")
+            return method
+    raise ValueError(f"unknown method {method!r}; expected one of {('auto', *routes)}")
 
 
 def log_gamma(x: float) -> float:

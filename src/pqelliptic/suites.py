@@ -10,12 +10,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable
 
+from . import elliptic, gentrig, means
 from .elliptic import E_pq, K_pq, dE_dk, dK_dk, legendre_residual, moment_sin_pq
-from .gentrig import PQParams, arcsin_pq, sin_pq
-from .means import _mean_mp, mean_ag, mean_kp, mean_log, mean_mp, ordering, quad_transform_check
-from .numerics import HypSeriesSpec, hyp2f1, integrate_singular
+from .gentrig import PQParams, arcsin_pq, pi_pq, sin_pq
+from .means import mean_ag, mean_kp, mean_log, mean_mp, ordering
+from .numerics import HypSeriesSpec, _pick_route, _pow_pair, hyp2f1, integrate_singular
 
 __all__ = ["CaseResult", "VerifyReport", "SUITE_NAMES", "run_suite"]
 
@@ -46,7 +48,6 @@ class VerifyReport:
 
 
 _LEGENDRE_PAIRS = ((2, 3), (3, 2), (1.5, 4), (4, 1.5), (2.5, 2.5))
-_HYPERGEO_PAIRS = ((2, 2), (3, 2), (2, 3), (1.5, 4))
 
 
 def _suite_legendre() -> list[CaseResult]:
@@ -60,52 +61,23 @@ def _suite_legendre() -> list[CaseResult]:
 
 
 def _suite_derivatives() -> list[CaseResult]:
-    """Closed-form dK/dk and dE/dk against central finite differences."""
-    h = 1e-6
+    """Closed-form dK/dk and dE/dk against the series differentiated term by term.
+
+    d/dk (pi_pq/2) F(a, b; c; k^q) = (pi_pq/2) q k^(q-1) (ab/c) F(a+1, b+1; c+1; k^q),
+    a = 1/p* for K and -1/p for E, b = 1/q, c = 1/p* + 1/q; relative residuals.
+    """
     cases = []
     for p, q in ((2, 2), (3, 2), (2, 3)):
         par = PQParams(p, q)
+        b, c = 1.0 / q, 1.0 / par.p_star + 1.0 / q
+        half = 0.5 * pi_pq(par)
         for i in range(1, 10):
             k = i / 10.0
-            fd_k = (K_pq(par, k + h).value - K_pq(par, k - h).value) / (2.0 * h)
-            fd_e = (E_pq(par, k + h).value - E_pq(par, k - h).value) / (2.0 * h)
-            cases.append(
-                CaseResult(f"dK p={p} q={q} k={k}", abs(dK_dk(par, k) - fd_k), 1e-5)
-            )
-            cases.append(
-                CaseResult(f"dE p={p} q={q} k={k}", abs(dE_dk(par, k) - fd_e), 1e-5)
-            )
-    return cases
-
-
-def _suite_hypergeo() -> list[CaseResult]:
-    """Series and connection series of K and E, each against quadrature.
-
-    The series in k^q runs at k = 0, 0.1, ..., 0.9; the connection series in
-    1 - k^q at k^q = 0.75, 0.999 and 1 - 1e-9.
-    """
-    cases = []
-    for p, q in _HYPERGEO_PAIRS:
-        par = PQParams(p, q)
-        points = [("series", f"p={p} q={q} k={i / 10.0}", i / 10.0) for i in range(10)]
-        points += [
-            ("connection", f"connection p={p} q={q} k^q={mq:g}", mq ** (1.0 / q))
-            for mq in (0.75, 0.999, 1 - 1e-9)
-        ]
-        for route, label, k in points:
-            for name, fn in (("K", K_pq), ("E", E_pq)):
-                d = abs(fn(par, k, route).value - fn(par, k, "quadrature").value)
-                cases.append(CaseResult(f"{name} {label}", d, 1e-10))
-    return cases
-
-
-def _suite_quadtransform() -> list[CaseResult]:
-    """Quadratic transformation at the triples of the 1/M_p and 1/K_p series."""
-    cases = []
-    for a, b in ((1 / 3, 1 / 3), (1.0, 1 / 3), (0.5, 0.25)):
-        for x in (0.0, 0.2, 0.5, 0.8):
-            r = quad_transform_check(a, b, x)
-            cases.append(CaseResult(f"a={a:g} b={b:g} x={x}", r, 1e-10))
+            for name, fn, a in (("dK", dK_dk, 1.0 / par.p_star), ("dE", dE_dk, -1.0 / p)):
+                f = hyp2f1(HypSeriesSpec(a + 1.0, b + 1.0, c + 1.0, k**q)).value
+                series = half * q * k ** (q - 1.0) * (a * b / c) * f
+                r = abs(fn(par, k) / series - 1.0)
+                cases.append(CaseResult(f"{name} p={p} q={q} k={k}", r, 1e-12))
     return cases
 
 
@@ -175,56 +147,105 @@ def _suite_moments() -> list[CaseResult]:
     return cases
 
 
-def _suite_nakamura() -> list[CaseResult]:
-    """The series M_p takes under auto against the half-line integral.
-
-    A point where ``auto`` ran no series fails.
-    """
-    cases = []
-    for p in (0.5, 1.5, 3.0):
-        for x in (0.2, 0.5, 0.8):
-            series = _mean_mp(1.0, x, p)
-            full = abs(1.0 / series.value - 1.0 / mean_mp(1.0, x, p, "integral"))
-            full = full if series.method == "series" else math.inf
-            cases.append(CaseResult(f"full p={p} x={x}", full, 1e-10))
-    return cases
-
-
 # the pairs of acceptance criterion c09, p = -2 included
 _TRIG_PAIRS = ((2, 2), (3, 2), (2, 3), (1.5, 4), (-2, 2))
 
 
 def _suite_trig() -> list[CaseResult]:
-    """arcsin_pq's two series against its quadrature, and sin_pq(arcsin_pq x) = x.
-
-    The series in x^q runs at x^q = 0.25 and 0.45, near the edge 1/2 of its
-    domain; the complement in w = 1 - x^q at w = 0.45 and 1e-6.  Every point
-    lies in the domain of the route it names, which raises ValueError
-    otherwise.
-    """
+    """sin_pq(arcsin_pq x) = x at x = 0.7 on the c09 pairs."""
     cases = []
     for p, q in _TRIG_PAIRS:
         par = PQParams(p, q)
-        points = [("series", f"x^q={mq}", mq ** (1.0 / q)) for mq in (0.25, 0.45)]
-        points += [("complement", f"w={w:g}", (1.0 - w) ** (1.0 / q)) for w in (0.45, 1e-6)]
-        for route, label, x in points:
-            d = abs(arcsin_pq(par, x, route) - arcsin_pq(par, x, "quadrature"))
-            cases.append(CaseResult(f"{route} p={p} q={q} {label}", d, 1e-13))
         # the inversion stops within 1e-12 in theta, and sin_pq' <= 1.4 here
         d = abs(sin_pq(par, arcsin_pq(par, 0.7)) - 0.7)
         cases.append(CaseResult(f"roundtrip p={p} q={q} x=0.7", d, 1e-11))
     return cases
 
 
+def _elliptic_class(p: float, x: float) -> str:
+    """The class of M_p's elliptic route at (1, x): that of the route K_{p*,p}'s
+    auto takes at the means' pair (x^p, 1 - x^p), which elliptic._admits says
+    without evaluating it (auto always finds one, so it never calls ``str``)."""
+    xp, z = _pow_pair(x, p)
+    admits = elliptic._admits(PQParams(p / (p - 1.0), p), z, xp, False)
+    return elliptic._ROUTES[_pick_route("auto", elliptic._ROUTES, admits, str)]
+
+
+# K and E at k = 0, 0.1, ..., 0.9 and at k^q = 0.75, 0.999 and 1 - 1e-9
+_ELLIPTIC_PAIRS = ((2, 2), (3, 2), (2, 3), (1.5, 4))
+_ELLIPTIC_POINTS = tuple(
+    (p, q, k)
+    for p, q in _ELLIPTIC_PAIRS
+    for k in [i / 10.0 for i in range(10)] + [m ** (1.0 / q) for m in (0.75, 0.999, 1 - 1e-9)]
+)
+# arcsin_pq at x^q = 0.25 and 0.45, near the edge 1/2 of the series' domain,
+# and at w = 1 - x^q = 0.45 and 1e-6, in the complement's
+_TRIG_POINTS = tuple(
+    (p, q, x)
+    for p, q in _TRIG_PAIRS
+    for x in [m ** (1.0 / q) for m in (0.25, 0.45)] + [(1.0 - w) ** (1.0 / q) for w in (0.45, 1e-6)]
+)
+_MEANS_POINTS = tuple((p, x) for p in (0.5, 1.5, 3.0) for x in (0.2, 0.5, 0.8))
+
+# quantity -> (route table, a point's coordinates, the bound on two routes'
+# difference, the value by a route at a point, the routes suite's grid); the
+# means compare reciprocals
+_QUANTITIES = {
+    "K": (elliptic._ROUTES, ("p", "q", "k"), 1e-10,
+          lambda p, q, k, r: K_pq(PQParams(p, q), k, r).value, _ELLIPTIC_POINTS),
+    "E": (elliptic._ROUTES, ("p", "q", "k"), 1e-10,
+          lambda p, q, k, r: E_pq(PQParams(p, q), k, r).value, _ELLIPTIC_POINTS),
+    "arcsin_pq": (gentrig._ROUTES, ("p", "q", "x"), 1e-13,
+                  lambda p, q, x, r: arcsin_pq(PQParams(p, q), x, r), _TRIG_POINTS),
+    "M_p": (means._MP_ROUTES, ("p", "x"), 1e-10,
+            lambda p, x, r: 1.0 / mean_mp(1.0, x, p, r), _MEANS_POINTS),
+    "K_p": (means._KP_ROUTES, ("p", "x"), 1e-10,
+            lambda p, x, r: 1.0 / mean_kp(1.0, x, p, r), _MEANS_POINTS),
+}
+
+
+def _route_cases(quantity: str, points) -> list[CaseResult]:
+    """Route agreement of one quantity at each point of ``points``.
+
+    Every route the quantity's table admits at a point runs once; a named
+    route outside its domain raises ValueError "<route> route requires",
+    and is left out.  Each pair of routes that ran, in table order, whose
+    independence classes differ is one case "<quantity> <r1>~<r2> <point>".
+    A point where fewer than two classes ran is one failing case.  Points
+    lie off the means' closed forms (p = 1, p <= 2^-71), which every route
+    name returns.
+    """
+    routes, coords, bound, value, _ = _QUANTITIES[quantity]
+    cases = []
+    for point in points:
+        label = " ".join(f"{c}={v}" for c, v in zip(coords, point))
+        ran = []
+        for route, cls in routes.items():
+            try:
+                ran.append((route, cls or _elliptic_class(*point), value(*point, route)))
+            except ValueError as err:
+                if not str(err).startswith(f"{route} route requires"):
+                    raise
+        if len({cls for _, cls, _ in ran}) < 2:
+            cases.append(CaseResult(f"{quantity} fewer than two classes {label}", math.inf, bound))
+        for (r1, c1, v1), (r2, c2, v2) in combinations(ran, 2):
+            if c1 != c2:
+                cases.append(CaseResult(f"{quantity} {r1}~{r2} {label}", abs(v1 - v2), bound))
+    return cases
+
+
+def _suite_routes() -> list[CaseResult]:
+    """Every pair of routes of distinct classes, for K, E, arcsin_pq, 1/M_p and 1/K_p."""
+    return [c for quantity, row in _QUANTITIES.items() for c in _route_cases(quantity, row[4])]
+
+
 _SUITES: dict[str, Callable[[], list[CaseResult]]] = {
     "legendre": _suite_legendre,
     "derivatives": _suite_derivatives,
-    "hypergeo": _suite_hypergeo,
-    "quadtransform": _suite_quadtransform,
+    "routes": _suite_routes,
     "means-ordering": _suite_means_ordering,
     "means-bridge": _suite_means_bridge,
     "moments": _suite_moments,
-    "nakamura": _suite_nakamura,
     "trig": _suite_trig,
 }
 

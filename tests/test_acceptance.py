@@ -11,10 +11,8 @@ from pqelliptic.elliptic import E_pq, K_pq
 from pqelliptic.gentrig import PQParams, arcsin_pq, cos_pq, pi_pq, sin_pq, tan_pq
 from pqelliptic.cli import main
 from pqelliptic.means import mean_kp, mean_log, mean_mp
-from pqelliptic.suites import _ORDERING_PS, _ORDERING_XS, _TRIG_PAIRS, run_suite
+from pqelliptic.suites import _ORDERING_PS, _ORDERING_XS, _TRIG_PAIRS, _route_cases, run_suite
 
-MP_METHODS = ("integral", "elliptic", "hyp_base", "hyp_quad")
-KP_METHODS = ("closed", "integral", "hyp_base", "hyp_quad")
 TRIG_PAIRS = tuple(PQParams(p, q) for p, q in _TRIG_PAIRS)
 
 
@@ -24,12 +22,9 @@ def report(num, name, bad):
     assert not bad, bad[:10]
 
 
-def suite_failures(name, count, bound, prefixes=("",)):
-    """Failing cases of a verify suite, plus any departure from its stated
-    case count and per-case bound; with ``prefixes``, of only the cases whose
-    names start with one of them."""
-    _, cases = run_suite(name)
-    cases = [c for c in cases if c.name.startswith(prefixes)]
+def case_failures(cases, count, bound):
+    """Failing cases, plus any departure from their stated count and
+    per-case bound."""
     bad = [f"{c.name} residual {c.residual:.2e}" for c in cases if not c.passed]
     if len(cases) != count:
         bad.append(f"{len(cases)} cases, expected {count}")
@@ -37,9 +32,17 @@ def suite_failures(name, count, bound, prefixes=("",)):
     return bad
 
 
+def suite_failures(name, count, bound, prefixes=("",)):
+    """case_failures of a verify suite; with ``prefixes``, of only the cases
+    whose names start with one of them."""
+    _, cases = run_suite(name)
+    return case_failures([c for c in cases if c.name.startswith(prefixes)], count, bound)
+
+
 def test_c01_classical_degeneration():
-    # hypergeo's series-against-quadrature cases at (2, 2), k = 0, 0.1, ..., 0.9
-    bad = suite_failures("hypergeo", 20, 1e-10, ("K p=2 q=2 k=", "E p=2 q=2 k="))
+    # the routes suite's series-against-quadrature cases at (2, 2), k = 0, 0.1, ..., 0.9
+    names = {f"{f} series~quadrature p=2 q=2 k={i / 10.0}" for f in "KE" for i in range(10)}
+    bad = case_failures([c for c in run_suite("routes")[1] if c.name in names], 20, 1e-10)
     par = PQParams(2, 2)
     for fn, tag in ((K_pq, "K"), (E_pq, "E")):
         d = abs(fn(par, 0.0).value - math.pi / 2.0)
@@ -58,43 +61,20 @@ def test_c02_legendre_relation():
 
 
 def test_c03_derivative_system():
-    report(3, "derivative system", suite_failures("derivatives", 54, 1e-5))
+    report(3, "derivative system", suite_failures("derivatives", 54, 1e-12))
 
 
 def test_c04_moment_formula():
     report(4, "moment formula", suite_failures("moments", 18, 1e-9))
 
 
-def chain_failures(tag, mean, methods, p, x):
-    """Failures of one representation-chain point: a series route whose
-    argument (1 - x^p for hyp_base, its quadratic transform for hyp_quad)
-    exceeds 0.99 must raise ValueError, at least two distinct routes must
-    run, and the reciprocals of those that ran must agree to 1e-9."""
-    z = -math.expm1(p * math.log(x))
-    args = {"hyp_base": z, "hyp_quad": (z / (2.0 - z)) ** 2}
-    bad, recips = [], []
-    for m in methods:
-        if args.get(m, 0.0) > 0.99:
-            try:
-                mean(1.0, x, p, m)
-                bad.append(f"{tag} (p={p}, x={x}) {m} ran outside its domain")
-            except ValueError:
-                pass
-        else:
-            recips.append(1.0 / mean(1.0, x, p, m))
-    if len(recips) < 2:
-        bad.append(f"{tag} (p={p}, x={x}) only {len(recips)} route ran")
-    elif max(recips) - min(recips) > 1e-9:
-        bad.append(f"{tag} (p={p}, x={x}) spread {max(recips) - min(recips):.2e}")
-    return bad
-
-
 def test_c05_representation_chain():
-    bad = []
-    for p in _ORDERING_PS:
-        for x in _ORDERING_XS:
-            bad += chain_failures("1/M_p", mean_mp, MP_METHODS, p, x)
-            bad += chain_failures("1/K_p", mean_kp, KP_METHODS, p, x)
+    # every pair of 1/M_p and 1/K_p routes of distinct classes on the
+    # ordering grid; where a series argument exceeds 0.99 the route raises
+    # and is left out (tests/test_routes.py checks that it does)
+    grid = [(p, x) for p in _ORDERING_PS for x in _ORDERING_XS]
+    bad = case_failures(_route_cases("M_p", grid), 238, 1e-10)
+    bad += case_failures(_route_cases("K_p", grid), 264, 1e-10)
     report(5, "representation chain", bad)
 
 
@@ -128,7 +108,9 @@ def test_c07_ordering():
 
 
 def test_c08_quadratic_transformation():
-    report(8, "quadratic transformation", suite_failures("quadtransform", 12, 1e-10))
+    # the routes suite's base-against-transformed series cases of 1/M_p and 1/K_p
+    prefixes = ("M_p hyp_quad~hyp_base ", "K_p hyp_base~hyp_quad ")
+    report(8, "quadratic transformation", suite_failures("routes", 16, 1e-10, prefixes))
 
 
 def test_c09_trig_identities():

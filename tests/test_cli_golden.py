@@ -56,14 +56,12 @@ options:
 
 suites:
   legendre       Product relation between the (p,q) and (q,p) integrals.
-  derivatives    Closed-form dK/dk and dE/dk against central finite differences.
-  hypergeo       Series and connection series of K and E, each against quadrature.
-  quadtransform  Quadratic transformation at the triples of the 1/M_p and 1/K_p series.
+  derivatives    Closed-form dK/dk and dE/dk against the series differentiated term by term.
+  routes         Every pair of routes of distinct classes, for K, E, arcsin_pq, 1/M_p and 1/K_p.
   means-ordering Sign of M_p - K_p around p = 1 (a zero gap passes), plus the p = 0, 1 anchors.
   means-bridge   M_2 = AG and the identities through the logarithmic mean at p in {0, 1, 2}.
   moments        Closed-form sin_pq moments against the beta-integral quadrature.
-  nakamura       The series M_p takes under auto against the half-line integral.
-  trig           arcsin_pq's two series against its quadrature, and sin_pq(arcsin_pq x) = x.
+  trig           sin_pq(arcsin_pq x) = x at x = 0.7 on the c09 pairs.
 """
 
 
@@ -107,8 +105,8 @@ def test_help_text(command, text, capsys):
          "error: unknown method 'bogus'; expected one of "
          "('closed', 'integral', 'hyp_base', 'hyp_quad')\n"),
         (["verify", "nosuite"], 2,
-         "usage error: unknown suite 'nosuite'; expected one of legendre, derivatives, hypergeo, "
-         "quadtransform, means-ordering, means-bridge, moments, nakamura, trig or all\n"),
+         "usage error: unknown suite 'nosuite'; expected one of legendre, derivatives, routes, "
+         "means-ordering, means-bridge, moments, trig or all\n"),
     ),
 )
 def test_usage_and_domain_messages(argv, code, err, capsys):

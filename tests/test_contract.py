@@ -69,7 +69,6 @@ PUBLIC_PARAMETERS = {
     "ordering": ("a", "b", "p"),
     "pi_pq": ("params",),
     "pochhammer": ("a", "n"),
-    "quad_transform_check": ("a", "b", "x"),
     "sin_pq": ("params", "theta"),
     "tan_pq": ("params", "theta"),
 }

@@ -273,7 +273,7 @@ def test_overflow_reproducer_matches_oracle():
 
 
 def _connection_sample():
-    """The hypergeo suite's pairs plus 40 (p, q) pairs drawn from the domain
+    """The routes suite's (p, q) pairs for K and E plus 40 (p, q) pairs drawn from the domain
     p in (-50, -0.01) u (1.001, 50), q in (0.05, 50), at k^q from 0.51 to
     1 - 1e-12.  Every point lies inside the connection domain."""
     rng = random.Random(7)

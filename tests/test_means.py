@@ -9,7 +9,11 @@ from pathlib import Path
 import pytest
 
 from pqelliptic.means import (
+    _KP_ROUTES,
+    _MP_ROUTES,
     MeanOrdering,
+    _hyp_base,
+    _hyp_quad,
     _mean_kp,
     _mean_mp,
     c_p,
@@ -18,32 +22,14 @@ from pqelliptic.means import (
     mean_log,
     mean_mp,
     ordering,
-    quad_transform_check,
 )
 from pqelliptic.numerics import HypSeriesSpec, hyp2f1, integrate_halfline
+from pqelliptic.suites import _route_cases
 
-MP_METHODS = ("elliptic", "hyp_base", "hyp_quad", "integral")
-KP_METHODS = ("closed", "integral", "hyp_base", "hyp_quad")
-
-
-def _recips_that_ran(mean, p, x, methods):
-    """1/mean(1, x) by each method whose domain admits the point.
-
-    The series routes sum in z = 1 - x^p (``hyp_base``) and in
-    (z/(2 - z))^2 (``hyp_quad``); where that argument exceeds 0.99 the route
-    must raise ValueError.  At least two distinct routes must run.
-    """
-    z = -math.expm1(p * math.log(x))
-    args = {"hyp_base": z, "hyp_quad": (z / (2.0 - z)) ** 2}
-    recips = {}
-    for m in methods:
-        if args.get(m, 0.0) > 0.99:
-            with pytest.raises(ValueError, match=f"^{m} route requires"):
-                mean(1.0, x, p, m)
-        else:
-            recips[m] = 1.0 / mean(1.0, x, p, m)
-    assert len(recips) >= 2, (mean.__name__, p, x, recips)
-    return list(recips.values())
+MP_METHODS = tuple(_MP_ROUTES)
+KP_METHODS = tuple(_KP_ROUTES)
+# the grid on which every pair of routes of distinct classes must agree
+ROUTE_GRID = [(p, i / 10.0) for p in (0.25, 0.5, 1.5, 2.0, 3.0, 5.0) for i in range(1, 10)]
 
 
 # ----------------------------------------------------------------- mean_log
@@ -138,11 +124,8 @@ def test_mp_recovers_agm():
 
 
 def test_mp_methods_agree():
-    for p in (0.25, 0.5, 1.5, 2.0, 3.0, 5.0):
-        for x in (0.1, 0.5, 0.9):
-            recips = _recips_that_ran(mean_mp, p, x, MP_METHODS)
-            spread = max(recips) - min(recips)
-            assert spread <= 1e-9, (p, x, recips)
+    cases = _route_cases("M_p", ROUTE_GRID)
+    assert [c for c in cases if not c.passed] == []
 
 
 def test_mp_elliptic_vs_integral_agree():
@@ -253,11 +236,8 @@ def test_kp_negative_p_closed_form():
 
 
 def test_kp_methods_agree():
-    for p in (0.25, 0.5, 1.5, 2.0, 3.0, 5.0):
-        for x in (0.1, 0.5, 0.9):
-            recips = _recips_that_ran(mean_kp, p, x, KP_METHODS)
-            spread = max(recips) - min(recips)
-            assert spread <= 1e-9, (p, x, recips)
+    cases = _route_cases("K_p", ROUTE_GRID)
+    assert [c for c in cases if not c.passed] == []
 
 
 def _kp_ref(mpmath, a, b, p):
@@ -312,6 +292,24 @@ def test_kp_closed_form_at_the_least_subnormal():
         w = mpmath.mpf(5e-324) ** mpmath.mpf(1e-3)
         ref = 1 / mpmath.hyp2f1(1000, 1000, 2000, 1 - w)
         assert abs(mpmath.mpf(m) / ref - 1) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "a, b, p",
+    [(1.0, 5e-324, 1e-3), (2.0**1000, 2.0**1000 * 5e-324, 1e-3), (3.0, 1e-320, 0.5),
+     (1.0, 1e-320, 0.999), (7.0, 3e-310, 1e-3), (1e300, 1e-20, -2.0), (1.0, 1e-315, 3.0)],
+)
+def test_kp_closed_form_where_the_ratio_is_subnormal(a, b, p):
+    # min/max is subnormal, so neither x nor x^c may be rounded at the
+    # subnormal spacing before a ratio of about 500 scales it up: rounded
+    # there, the first two are 5 % off against an abs_err of 4.9e-324 and 4.9e-35
+    mpmath = pytest.importorskip("mpmath")
+    r = _mean_kp(a, b, p)
+    with mpmath.workdps(50):
+        ref = _kp_ref(mpmath, a, b, p)
+        assert abs(mpmath.mpf(r.value) - ref) <= r.abs_err
+        if r.value >= sys.float_info.min:
+            assert abs(mpmath.mpf(r.value) / ref - 1) <= 1e-12
 
 
 def test_kp_validation():
@@ -377,24 +375,27 @@ def test_means_monotone_in_each_argument():
 
 
 def test_quad_transform_residuals():
-    assert quad_transform_check(1.0 / 3.0, 1.0 / 3.0, 0.0) == 0.0
-    assert quad_transform_check(1.0 / 3.0, 1.0 / 3.0, 0.4) <= 1e-10
-    assert quad_transform_check(1.0, 1.0 / 3.0, 0.7) <= 1e-10
-    assert quad_transform_check(0.5, 0.25, 0.8) <= 1e-10
+    # F(a, b; 2a; x) by the series in x against its quadratic transformation,
+    # at the triples of 1/M_p (a = b = 1/3) and 1/K_p (a = 1) and at a triple
+    # of neither
+    def residual(a, b, x):
+        return abs(_hyp_base(a, b, x).value - _hyp_quad(a, b, x).value)
+
+    assert residual(1.0 / 3.0, 1.0 / 3.0, 0.0) == 0.0
+    assert residual(1.0 / 3.0, 1.0 / 3.0, 0.4) <= 1e-10
+    assert residual(1.0, 1.0 / 3.0, 0.7) <= 1e-10
+    assert residual(0.5, 0.25, 0.8) <= 1e-10
     with pytest.raises(ValueError, match=r"needs \|arg\| < 1"):
-        quad_transform_check(1.0, 1.0 / 3.0, 1.0)  # the series in x is not summed at 1
+        _hyp_base(1.0, 1.0 / 3.0, 1.0)  # the series in x is not summed at 1
 
 
 def test_representation_agreement_is_the_transform():
-    # base and transformed series agree for both families across the p/x grid
-    # wherever each runs; the mean's other routes carry the points where the
-    # series arguments exceed 0.99
-    for p in (0.25, 0.5, 1.5, 2.0, 3.0, 5.0):
-        for i in range(1, 10):
-            x = i / 10.0
-            for tag, mean, methods in (("Mp", mean_mp, MP_METHODS), ("Kp", mean_kp, KP_METHODS)):
-                recips = _recips_that_ran(mean, p, x, methods)
-                assert max(recips) - min(recips) <= 1e-10, (tag, p, x)
+    # base and transformed series agree for both families across the grid
+    # wherever both run; where 1 - x^p exceeds 0.99 (p = 5 with x <= 0.3,
+    # p = 3 with x <= 0.2) the other routes carry the point
+    for quantity, pair in (("M_p", "hyp_quad~hyp_base"), ("K_p", "hyp_base~hyp_quad")):
+        cases = [c for c in _route_cases(quantity, ROUTE_GRID) if f" {pair} " in c.name]
+        assert len(cases) == 49 and all(c.passed for c in cases), quantity
 
 
 def test_third_parameter_comparison_drives_ordering():

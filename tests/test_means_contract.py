@@ -16,14 +16,14 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from pqelliptic import ConvergenceError  # noqa: E402
-from pqelliptic.means import mean_kp, mean_mp, ordering  # noqa: E402
+from pqelliptic.means import _KP_ROUTES, _MP_ROUTES, mean_kp, mean_mp, ordering  # noqa: E402
 
 # Hypothesis's failure report imports a module that warns on import; ignore
 # that one warning so a failing example is reported instead of an internal error
 pytestmark = pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict:DeprecationWarning")
 
-MP_METHODS = ("auto", "elliptic", "hyp_base", "hyp_quad", "integral")
-KP_METHODS = ("closed", "integral", "hyp_base", "hyp_quad")
+MP_METHODS = ("auto", *_MP_ROUTES)
+KP_METHODS = tuple(_KP_ROUTES)
 
 _SETTINGS = hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
