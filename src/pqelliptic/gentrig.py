@@ -122,9 +122,7 @@ def _arcsin(params: PQParams, x: float, method: str = "auto") -> EvalResult:
         pi, pi_rel = _pi_pq_rel(params)
         half = 0.5 * pi
         scale = w**a / (a * q)  # the tail is scale F
-        tail_max = scale * max(1.0, x ** (1.0 - q))
-        err_max = half * pi_rel + (2.0 + a) * _rounding_err(tail_max) + _rounding_err(half)
-        complement = err_max <= _ARCSIN_TOL * (half - tail_max)
+        complement = _complement_keeps(half, pi_rel, scale * max(1.0, x ** (1.0 - q)), a)
     route = _pick_route(
         method,
         _ROUTES,
@@ -145,6 +143,13 @@ def _arcsin(params: PQParams, x: float, method: str = "auto") -> EvalResult:
     return _scaled(x, integrate_singular(integrand, _ARCSIN_TOL))
 
 
+def _complement_keeps(half: float, pi_rel: float, tail_max: float, a: float) -> bool:
+    """Whether the complement's a priori error, with its tail at tail_max,
+    is at most _ARCSIN_TOL times the smallest result half - tail_max."""
+    err_max = half * pi_rel + (2.0 + a) * _rounding_err(tail_max) + _rounding_err(half)
+    return err_max <= _ARCSIN_TOL * (half - tail_max)
+
+
 def arcsin_pq(params: PQParams, x: float, method: str = "auto") -> float:
     """integral_0^x dt / (1 - t^q)^(1/p) for x in [0, 1], increasing in x.
 
@@ -161,17 +166,45 @@ def _theta_tol(theta: float) -> float:
     return max(_SIN_TOL * min(1.0, theta), math.ulp(theta))
 
 
+def _slope(base: float, e: float) -> float:
+    """base**e for base >= 0 as a Newton slope: infinite where it overflows,
+    a zero base under e < 0 included, so the inversion bisects there."""
+    try:
+        return base**e
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
 def sin_pq(params: PQParams, theta: float) -> float:
     """Inverse of arcsin_pq, increasing from [0, pi_pq/2] onto [0, 1].
 
-    Endpoints are exact; interior values come from monotone inversion of the
-    defining integral to a residual of ``_theta_tol(theta)`` in theta,
-    relative below theta = 1, so tiny theta and a tiny pi_pq/2 keep their
-    digits.  The integrand (1 - t^q)^(-1/p) is at least 1 for p > 1 and at
-    most 1 for p < 0, so arcsin_pq x >= x or <= x: the inversion's bracket
-    is [0, min(1, theta)] or [min(1, theta), 1].
+    Endpoints are exact; interior values come from ``invert_monotone``'s
+    Newton steps on the defining integral, with its exact slope, to a
+    residual of ``_theta_tol(theta)`` in theta, relative below theta = 1, so
+    tiny theta and a tiny pi_pq/2 keep their digits.  The integrand
+    (1 - t^q)^(-1/p) is at least 1 for p > 1 and at most 1 for p < 0, so
+    arcsin_pq x >= x or <= x: the bracket is [0, min(1, theta)] or
+    [min(1, theta), 1].
+
+    With a = 1/p* and w = 1 - x^q, theta = pi_pq/2 - w^a/(a q) to leading
+    order near x = 1, so w0 = (a q (pi_pq/2 - theta))^(1/a) estimates w at
+    the root.  Where w0 > 1/2, or min(1, theta)^q < 1/2 (for p > 1 the root
+    lies below theta; for q < 1 the leading term overstates the tail and w0
+    understates w), the inversion runs in x, with slope w^(-1/p).  Otherwise
+    it runs in v = -w^a, with slope x^(1-q)/(a q), in which theta is nearly
+    linear; x comes back from v through log1p, so it reaches every float
+    near 1.  Either way a Newton step from the bracket end at 0 or 1 lands
+    on the estimate x = theta or w^a = a q (pi_pq/2 - theta).
+
+    Every residual is arcsin_pq(x) - theta at the very x returned.  The ends
+    x = 0 and x = 1 take their values 0 and pi_pq/2 without a call, the
+    latter only where the complement route admits w = 0 and so returns
+    exactly pi_pq/2; any other x is evaluated once, so where one ulp of x
+    moves theta by more than the tolerance, the inversion's last steps in v
+    fall on x already met and the stall costs no further evaluations.
     """
-    half = 0.5 * pi_pq(params)
+    pi, pi_rel = _pi_pq_rel(params)
+    half = 0.5 * pi
     if not 0.0 <= theta <= half:
         raise ValueError(f"theta must lie in [0, {half:.17g}], got {theta!r}")
     if theta == 0.0:
@@ -182,7 +215,37 @@ def sin_pq(params: PQParams, theta: float) -> float:
     lo, hi = (0.0, t1) if params.p > 1.0 else (t1, 1.0)
     if lo == hi:  # theta >= 1 > p: pi_pq/2 exceeds 1 only by its rounding
         return 1.0
-    return invert_monotone(lambda x: arcsin_pq(params, x), theta, lo, hi, _theta_tol(theta))
+    q, a, tol = params.q, 1.0 / params.p_star, _theta_tol(theta)
+    # arcsin_pq at each x the inversion has met, and at the closed-form ends
+    known = {0.0: 0.0, 1.0: half} if _complement_keeps(half, pi_rel, 0.0, a) else {0.0: 0.0}
+
+    def theta_at(x: float) -> float:
+        if x not in known:
+            known[x] = arcsin_pq(params, x)
+        return known[x]
+
+    if a * q * (half - theta) > 0.5**a or t1**q < 0.5:  # w0 > 1/2, without a 1/a power
+        inv_p = 1.0 / params.p
+        return invert_monotone(
+            lambda x: (theta_at(x), _slope(_pow_pair(x, q)[1], -inv_p)), theta, lo, hi, tol
+        )
+    inv_a, inv_q = 1.0 / a, 1.0 / q
+    v_lo, v_hi = -(_pow_pair(lo, q)[1] ** a), -(_pow_pair(hi, q)[1] ** a)
+
+    def x_at(v: float) -> float:
+        # exact at the bracket's ends; inside, w < 1, and log1p keeps the
+        # digits of w that 1 - w would drop, so x reaches every float near 1
+        if v == v_lo:
+            return lo
+        if v == v_hi:
+            return hi
+        return math.exp(math.log1p(-((-v) ** inv_a)) * inv_q)
+
+    def g(v: float) -> tuple[float, float]:
+        x = x_at(v)
+        return theta_at(x), _slope(x, 1.0 - q) / a / q
+
+    return x_at(invert_monotone(g, theta, v_lo, v_hi, tol))
 
 
 def _cos_from_sin(s: float, q: float) -> float:

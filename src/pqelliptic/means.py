@@ -314,12 +314,14 @@ def _mean_kp(a: float, b: float, p: float, method: str = "closed") -> EvalResult
     if method == "closed":
         # ((p-1)/p)(1 - x^p)/(1 - x^(p-1)) = x^c E(-|p l|)/E(-|(p-1) l|), l = ln x,
         # E(t) = expm1(t)/t = e^t E(-t) and c = clamp(1 - p) in [0, 1]: every
-        # factor lies in (0, 1], so nothing overflows
+        # factor lies in (0, 1], so nothing overflows; x^c turns c's rounding
+        # into a relative error of up to eps |c l|
         if x < sys.float_info.min:
             return _kp_closed_wide(min(a, b), scale, p)
         lx = math.log(x)
         c = min(1.0, max(0.0, 1.0 - p))
-        return _closed_form(scale * (x**c * _kp_ratio(p, lx)))
+        value = scale * (x**c * _kp_ratio(p, lx))
+        return _scaled(1.0, _closed_form(value), sys.float_info.epsilon * abs(c * lx))
     return _over(scale, _recip(method, _KP_ROUTES, x, p, 1.0, _recip_kp_integral))
 
 

@@ -3,10 +3,12 @@
 Gamma/beta/digamma helpers, the Gauss hypergeometric series and its
 connection series in 1 - z, double-exponential (tanh-sinh) quadrature for
 integrands with algebraic endpoint singularities, bracketed inversion of
-monotone functions, and the three compositions (``_scaled``, ``_shifted``,
-``_over``) by which a route turns a kernel's result into its own, error
-included.  Everything is a pure function of its arguments; the only module
-state is an idempotent cache of quadrature nodes.
+monotone functions (Newton steps where the caller supplies the slope,
+secant steps where it does not, bisection as the safeguard), and the three
+compositions (``_scaled``, ``_shifted``, ``_over``) by which a route turns
+a kernel's result into its own, error included.  Everything is a pure
+function of its arguments; the only module state is an idempotent cache of
+quadrature nodes.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ __all__ = [
 SERIES_ARG_MAX = 0.99
 _MAX_TERMS = 1_000_000  # terms a series may take before it raises ConvergenceError
 _SUBNORMAL_SPACING = math.ulp(0.0)
-_INVERT_MAX_ITER = 200  # secant/bisection steps before invert_monotone gives up
+_INVERT_MAX_ITER = 200  # Newton, secant or bisection steps before invert_monotone gives up
 
 
 class ConvergenceError(RuntimeError):
@@ -466,21 +468,33 @@ def _pow_pair(x: float, q: float) -> tuple[float, float]:
 
 
 def invert_monotone(
-    g: Callable[[float], float], target: float, lo: float, hi: float, tol: float = 1e-12
+    g: Callable[[float], float | tuple[float, float]],
+    target: float,
+    lo: float,
+    hi: float,
+    tol: float = 1e-12,
 ) -> float:
     """Solve g(x) = target for a continuous increasing g on [lo, hi].
 
-    Bracketing bisection refined by secant steps through the last two
-    evaluations; whenever the secant step leaves the open bracket the
-    bisection midpoint is used instead, which keeps the iteration
-    deterministic.  Returns x with |g(x) - target| <= tol.
+    ``g`` returns g(x), or the pair (g(x), g'(x)).  With slopes the kernel
+    takes Newton steps, the first from the bracket end with the smaller
+    residual and each later one from the latest point; a step that rounds
+    back onto a bracket end moves one ulp inside it instead, so a root
+    closer than an ulp costs one evaluation, not a bisection of the whole
+    bracket.  Without slopes it takes secant steps through the last two
+    evaluations.  Whenever a step leaves the open bracket, or a slope is not
+    positive and finite, the bisection midpoint is used instead, which keeps
+    the iteration deterministic.  Returns x with |g(x) - target| <= tol.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    rlo = g(lo) - target
-    rhi = g(hi) - target
+    glo, ghi = g(lo), g(hi)
+    newton = isinstance(glo, tuple)
+    if newton:
+        (glo, dlo), (ghi, dhi) = glo, ghi
+    rlo, rhi = glo - target, ghi - target
     if rlo > 0.0 or rhi < 0.0:
         raise ValueError(
             f"target {target!r} is not bracketed: g({lo!r})-target={rlo!r}, "
@@ -490,17 +504,25 @@ def invert_monotone(
         return lo
     if abs(rhi) <= tol:
         return hi
-    x0, r0 = lo, rlo
-    x1, r1 = hi, rhi
+    x0, r0, x1, r1 = lo, rlo, hi, rhi
+    if newton:  # the first step starts from the end with the smaller residual
+        x1, r1, d1 = (lo, rlo, dlo) if -rlo <= rhi else (hi, rhi, dhi)
     best_r = math.inf
     for _ in range(_INVERT_MAX_ITER):
-        if r1 != r0:
+        if newton:
+            x = x1 - r1 / d1 if 0.0 < d1 < math.inf else math.nan
+            if x == lo or x == hi:  # the step rounds onto an end: one ulp inside
+                x = math.nextafter(x, hi if x == lo else lo)
+        elif r1 != r0:
             x = x1 - r1 * (x1 - x0) / (r1 - r0)
         else:
             x = 0.5 * (lo + hi)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-        r = g(x) - target
+        y = g(x)
+        if newton:
+            y, d1 = y
+        r = y - target
         if abs(r) <= tol:
             return x
         best_r = min(best_r, abs(r))

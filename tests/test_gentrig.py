@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from pqelliptic import gentrig
+from pqelliptic import ConvergenceError, gentrig
 from pqelliptic.gentrig import PQParams, arcsin_pq, cos_pq, pi_pq, sin_pq, tan_pq
 
 # the parameter set used throughout, including one negative-p pair
@@ -179,6 +179,70 @@ def test_trig_runs_no_quadrature_on_the_c09_grid(monkeypatch):
     assert calls == []
     arcsin_pq(PQParams(1.001, 2), 0.99)
     assert calls == [1]  # the counter does see a quadrature
+
+
+def _count_arcsin(monkeypatch):
+    """A list that gains one entry per arcsin_pq evaluation inside gentrig."""
+    calls = []
+    arcsin = gentrig.arcsin_pq
+    monkeypatch.setattr(gentrig, "arcsin_pq", lambda *a: calls.append(1) or arcsin(*a))
+    return calls
+
+
+def test_trig_takes_about_three_arcsin_evaluations_per_value(monkeypatch):
+    # a deterministic work count, on c09's 50-point theta grids and 300
+    # seeded draws from the wide domain, each point asked for sin, cos or
+    # tan in turn: the closed-form ends x = 0 and 1 take no evaluation, each
+    # Newton step one (the secant inversion took 7.2 here)
+    calls = _count_arcsin(monkeypatch)
+    points = [(par, 0.5 * pi_pq(par) * i / 49.0) for par in PAIRS for i in range(50)]
+    rng = random.Random(5)
+    for i in range(300):
+        p = (rng.uniform(1.001, 1.3), rng.uniform(-50.0, -0.01), rng.uniform(1.001, 50.0))[i % 3]
+        par = PQParams(p, rng.uniform(0.05, 50.0))
+        points.append((par, 0.5 * pi_pq(par) * rng.random()))
+    values = 0
+    for i, (par, theta) in enumerate(points):
+        fn = (sin_pq, cos_pq, tan_pq)[i % 3]
+        try:
+            fn(par, theta)
+            values += 1
+        except (ConvergenceError, ValueError):  # a stall; tan_pq at pi_pq/2
+            pass
+    assert values > 500
+    assert len(calls) <= 3.2 * values, len(calls) / values
+
+
+def test_trig_stalls_stay_cheap(monkeypatch):
+    # one ulp of x near 1 moves theta by more than the tolerance, so both
+    # inversions stall; the secant inversion spent 23 and 22 arcsin_pq
+    # evaluations before it raised, and a stall may cost no more
+    calls = _count_arcsin(monkeypatch)
+    stalls = (
+        (sin_pq, PQParams(2, 3), 0.999999 * 0.5 * pi_pq(PQParams(2, 3)), 23),
+        (cos_pq, PQParams(1.5, 4), 1.5868964118649982, 22),
+    )
+    for fn, par, theta, secant_calls in stalls:
+        calls.clear()
+        with pytest.raises(ConvergenceError, match="^inversion stalled with residual"):
+            fn(par, theta)
+        assert len(calls) <= secant_calls
+
+
+def test_closed_form_ends_are_what_arcsin_returns():
+    # sin_pq takes arcsin_pq(0) = 0 and, where the complement admits x = 1,
+    # arcsin_pq(1) = pi_pq/2 without evaluating them; both must be exact.
+    # As p -> 0-, pi_pq's own rounding exceeds the tolerance: no end at 1
+    no_end = (PQParams(-0.01, 2), PQParams(-0.02, 50))
+    pars = PAIRS + no_end + tuple(par for par, _ in _wide_points(300, 3)[::3])
+    exact = 0
+    for par in pars:
+        pi, pi_rel = gentrig._pi_pq_rel(par)
+        assert arcsin_pq(par, 0.0) == 0.0
+        if gentrig._complement_keeps(0.5 * pi, pi_rel, 0.0, 1.0 / par.p_star):
+            exact += 1
+            assert arcsin_pq(par, 1.0) == 0.5 * pi, par
+    assert 0 < exact < len(pars)
 
 
 def test_arcsin_endpoint_is_half_period():

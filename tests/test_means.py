@@ -312,6 +312,17 @@ def test_kp_closed_form_where_the_ratio_is_subnormal(a, b, p):
             assert abs(mpmath.mpf(r.value) / ref - 1) <= 1e-12
 
 
+def test_kp_closed_form_error_carries_the_rounding_of_c():
+    # c = 1 - p is rounded, and x^c multiplies that by |ln x| = 690.8: the
+    # value is 7.1e-224 off, 34 times a bare 4 eps |value|
+    mpmath = pytest.importorskip("mpmath")
+    r = _mean_kp(1.0, 1e-300, 0.3)
+    with mpmath.workdps(50):
+        err = abs(mpmath.mpf(r.value) - _kp_ref(mpmath, 1.0, 1e-300, 0.3))
+    assert err > 1e-224
+    assert err <= r.abs_err
+
+
 def test_kp_validation():
     with pytest.raises(ValueError):
         mean_kp(0.0, 1.0, 2.0)

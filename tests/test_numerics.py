@@ -387,6 +387,56 @@ def test_invert_endpoints_and_bracket_error():
         invert_monotone(lambda x: x, -0.1, 0.0, 1.0, 1e-12)
 
 
+def _logged(g, log):
+    """g, recording each argument it is called at."""
+
+    def wrapped(x):
+        log.append(x)
+        return g(x)
+
+    return wrapped
+
+
+def test_invert_with_slopes_converges_in_newton_steps():
+    def g(x):  # asin with its slope, infinite at 1
+        return math.asin(x), 1.0 / math.sqrt(1.0 - x * x) if x < 1.0 else math.inf
+
+    log = []
+    got = invert_monotone(_logged(g, log), math.pi / 6.0, 0.0, 1.0, 1e-12)
+    assert abs(math.asin(got) - math.pi / 6.0) <= 1e-12
+    assert len(log) <= 6, log  # the two ends and at most four Newton steps
+    assert log[2] == math.pi / 6.0  # the first step: from 0, the end nearer the target
+
+
+def test_invert_newton_step_leaving_the_bracket_bisects():
+    # a slope 1000 times too small sends the first step from 0 to 300
+    log = []
+    invert_monotone(_logged(lambda x: (x, 1e-3), log), 0.3, 0.0, 1.0, 1e-12)
+    assert log[:3] == [0.0, 1.0, 0.5]
+    # no slope there (infinite or zero) bisects too
+    for slope in (math.inf, 0.0):
+        log = []
+        invert_monotone(_logged(lambda x, d=slope: (x, d), log), 0.3, 0.0, 1.0, 1e-12)
+        assert log[:3] == [0.0, 1.0, 0.5]
+
+
+def test_invert_newton_step_rounding_onto_an_end_moves_one_ulp():
+    # one ulp of x near 0.3 moves g by 5551, so no x meets tol = 1; the steps
+    # that round back onto 0.3 move one ulp, and the inversion stops there
+    # instead of bisecting [0.3, 1]
+    log = []
+    g = _logged(lambda x: ((x - 0.3) * 1e20, 1e20), log)
+    with pytest.raises(ConvergenceError, match="inversion stalled with residual 2000"):
+        invert_monotone(g, 2000.0, 0.0, 1.0, 1.0)
+    assert log[2:] == [0.3, math.nextafter(0.3, 1.0)]
+
+
+def test_invert_with_slopes_rejects_an_unbracketed_target():
+    for target in (2.0, -0.1):
+        with pytest.raises(ValueError, match="is not bracketed"):
+            invert_monotone(lambda x: (x, 1.0), target, 0.0, 1.0, 1e-12)
+
+
 # ----------------------------------------------------------------- EvalResult
 
 

@@ -43,3 +43,19 @@ def test_case_result_nan_counts_as_failure():
     assert not CaseResult("x", float("nan"), 1e-9).passed
     assert CaseResult("x", 0.0, 0.0).passed
     assert not CaseResult("x", 1e-8, 1e-9).passed
+
+
+def test_log_mean_cases_check_an_independent_route(monkeypatch):
+    # M_1, K_1 and K_0 return mean_log's closed form; each of their cases
+    # must notice when that closed form is 1e-9 off
+    import pqelliptic.means as means
+
+    log_mean = means.mean_log
+    monkeypatch.setattr(means, "mean_log", lambda a, b: log_mean(a, b) * (1.0 + 1e-9))
+    prefixes = ("M1=L ", "K1=L ", "K0=x/L ", "p=1 ")
+    checked = [
+        c for name in ("means-bridge", "means-ordering")
+        for c in run_suite(name)[1] if c.name.startswith(prefixes)
+    ]
+    assert len(checked) == 22
+    assert not any(c.passed for c in checked)
