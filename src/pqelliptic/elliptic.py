@@ -26,7 +26,6 @@ from .numerics import (
     _shifted,
     hyp2f1,
     integrate_singular,
-    pochhammer,
 )
 
 __all__ = ["E_pq", "K_pq", "dE_dk", "dK_dk", "legendre_residual", "moment_sin_pq"]
@@ -182,10 +181,14 @@ def moment_sin_pq(params: PQParams, n: int) -> float:
     """integral_0^{pi_pq/2} sin_pq^{q n} theta dtheta in closed form.
 
     Substituting t = sin_pq^q theta turns the moment into a beta integral,
-    giving (pi_pq/2) (1/q)_n / (1/p* + 1/q)_n.
+    giving (pi_pq/2) (1/q)_n / (1/p* + 1/q)_n.  The two Pochhammer symbols
+    overflow from n ~ 171 on, so their ratio is the running product of
+    (1/q + i) / (1/p* + 1/q + i), each factor below 1.
     """
     if n != int(n) or n < 0:
         raise ValueError(f"moment order must be a nonnegative integer, got {n!r}")
-    inv_q = 1.0 / params.q
-    ratio = pochhammer(inv_q, int(n)) / pochhammer(1.0 / params.p_star + inv_q, int(n))
+    inv_q, inv_ps = 1.0 / params.q, 1.0 / params.p_star
+    ratio = 1.0
+    for i in range(int(n)):
+        ratio *= (inv_q + i) / (inv_ps + inv_q + i)
     return 0.5 * pi_pq(params) * ratio

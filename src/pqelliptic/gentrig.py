@@ -256,10 +256,16 @@ def _cos_from_sin(s: float, q: float) -> float:
 
 
 def _tan_from_sin(s: float, q: float) -> float:
-    """s / cos_pq for s = sin_pq theta in [0, 1); diverges at s = 1."""
+    """s / cos_pq for s = sin_pq theta in [0, 1); diverges at s = 1.  For
+    small q, cos_pq = (1 - s^q)^(1/q) underflows while s < 1, and the
+    quotient that leaves the doubles raises ValueError too."""
     if s == 1.0:
         raise ValueError("tan_pq diverges at theta = pi_pq/2")
-    return s / _cos_from_sin(s, q)
+    c = _cos_from_sin(s, q)
+    t = s / c if c > 0.0 else math.inf
+    if t == math.inf:
+        raise ValueError(f"tan_pq overflows: cos_pq = {c!r} at sin_pq = {s!r}")
+    return t
 
 
 def cos_pq(params: PQParams, theta: float) -> float:

@@ -3,8 +3,8 @@
 Gamma/beta/digamma helpers, the Gauss hypergeometric series and its
 connection series in 1 - z, double-exponential (tanh-sinh) quadrature for
 integrands with algebraic endpoint singularities, bracketed inversion of
-monotone functions (Newton steps where the caller supplies the slope,
-secant steps where it does not, bisection as the safeguard), and the three
+monotone functions (Newton steps with the caller's slope, or else the
+chord slope, bisection as the safeguard), and the three
 compositions (``_scaled``, ``_shifted``, ``_over``) by which a route turns
 a kernel's result into its own, error included.  Everything is a pure
 function of its arguments; the only module state is an idempotent cache of
@@ -38,7 +38,7 @@ __all__ = [
 SERIES_ARG_MAX = 0.99
 _MAX_TERMS = 1_000_000  # terms a series may take before it raises ConvergenceError
 _SUBNORMAL_SPACING = math.ulp(0.0)
-_INVERT_MAX_ITER = 200  # Newton, secant or bisection steps before invert_monotone gives up
+_INVERT_MAX_ITER = 200  # Newton or bisection steps before invert_monotone gives up
 
 
 class ConvergenceError(RuntimeError):
@@ -120,10 +120,14 @@ def _pick_route(method: str, routes: dict, admits: tuple, need: Callable[[str], 
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
+    """Natural log of the gamma function for x > 0; ValueError past x ~ 2.5e305,
+    where it leaves the double range."""
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise ValueError(f"log_gamma overflows at x = {x!r}") from None
 
 
 def beta(x: float, y: float) -> float:
@@ -135,12 +139,16 @@ def _beta_rel(x: float, y: float) -> tuple[float, float]:
     """B(x, y) and a bound on its relative rounding error: exp turns the
     absolute error of the lgamma sum into relative error.  Each lgamma is
     within about an ulp, or a few eps near its zeros at 1 and 2, so the bound
-    is 2 eps (|lgamma x| + |lgamma y| + |lgamma(x + y)| + 4)."""
+    is 2 eps (|lgamma x| + |lgamma y| + |lgamma(x + y)| + 4).  Where B or a
+    log-gamma leaves the double range it raises ValueError."""
     if not (x > 0.0 and y > 0.0):
         raise ValueError(f"beta requires positive arguments, got ({x!r}, {y!r})")
     lx, ly, lxy = log_gamma(x), log_gamma(y), log_gamma(x + y)
     rel = 2.0 * sys.float_info.epsilon * (abs(lx) + abs(ly) + abs(lxy) + 4.0)
-    return math.exp(lx + ly - lxy), rel
+    try:
+        return math.exp(lx + ly - lxy), rel
+    except OverflowError:
+        raise ValueError(f"beta overflows at ({x!r}, {y!r})") from None
 
 
 _EULER_GAMMA = 0.5772156649015329  # -psi(1)
@@ -476,15 +484,16 @@ def invert_monotone(
 ) -> float:
     """Solve g(x) = target for a continuous increasing g on [lo, hi].
 
-    ``g`` returns g(x), or the pair (g(x), g'(x)).  With slopes the kernel
-    takes Newton steps, the first from the bracket end with the smaller
-    residual and each later one from the latest point; a step that rounds
-    back onto a bracket end moves one ulp inside it instead, so a root
-    closer than an ulp costs one evaluation, not a bisection of the whole
-    bracket.  Without slopes it takes secant steps through the last two
-    evaluations.  Whenever a step leaves the open bracket, or a slope is not
-    positive and finite, the bisection midpoint is used instead, which keeps
-    the iteration deterministic.  Returns x with |g(x) - target| <= tol.
+    ``g`` returns g(x), or the pair (g(x), g'(x)).  The kernel takes Newton
+    steps, the first from the bracket end with the smaller residual and each
+    later one from the latest point, with the slope g returns, or else the
+    chord slope through the last two points (the first through both ends).
+    A step that rounds back onto a bracket end moves one ulp inside it
+    instead, so a root closer than an ulp costs one evaluation, not a
+    bisection of the whole bracket.  Whenever a step leaves the open
+    bracket, or a slope is not positive and finite, the bisection midpoint
+    is used instead, which keeps the iteration deterministic.  Returns x
+    with |g(x) - target| <= tol.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
@@ -504,24 +513,19 @@ def invert_monotone(
         return lo
     if abs(rhi) <= tol:
         return hi
-    x0, r0, x1, r1 = lo, rlo, hi, rhi
-    if newton:  # the first step starts from the end with the smaller residual
-        x1, r1, d1 = (lo, rlo, dlo) if -rlo <= rhi else (hi, rhi, dhi)
+    if not newton:
+        dlo = dhi = (rhi - rlo) / (hi - lo)
+    x1, r1, d1 = (lo, rlo, dlo) if -rlo <= rhi else (hi, rhi, dhi)
     best_r = math.inf
     for _ in range(_INVERT_MAX_ITER):
-        if newton:
-            x = x1 - r1 / d1 if 0.0 < d1 < math.inf else math.nan
-            if x == lo or x == hi:  # the step rounds onto an end: one ulp inside
-                x = math.nextafter(x, hi if x == lo else lo)
-        elif r1 != r0:
-            x = x1 - r1 * (x1 - x0) / (r1 - r0)
-        else:
-            x = 0.5 * (lo + hi)
+        x = x1 - r1 / d1 if 0.0 < d1 < math.inf else math.nan
+        if x == lo or x == hi:  # the step rounds onto an end: one ulp inside
+            x = math.nextafter(x, hi if x == lo else lo)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
         y = g(x)
         if newton:
-            y, d1 = y
+            y, d = y
         r = y - target
         if abs(r) <= tol:
             return x
@@ -530,8 +534,9 @@ def invert_monotone(
             lo = x
         else:
             hi = x
-        x0, r0 = x1, r1
-        x1, r1 = x, r
+        if not newton:
+            d = (r - r1) / (x - x1)
+        x1, r1, d1 = x, r, d
         if hi - lo <= 2.0 * math.ulp(max(abs(lo), abs(hi))):
             break  # bracket exhausted at double resolution
     raise ConvergenceError(

@@ -11,7 +11,7 @@ import pytest
 
 from pqelliptic.cli import GridSpec, main
 from pqelliptic.elliptic import E_pq
-from pqelliptic.gentrig import PQParams
+from pqelliptic.gentrig import PQParams, pi_pq
 from pqelliptic.suites import SUITE_NAMES
 
 
@@ -169,6 +169,16 @@ def test_eval_arithmetic_failure_exits_1_without_traceback(args):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_eval_tan_where_cos_underflows(capsys):
+    # cos_pq underflows to 0 while sin_pq < 1: this printed "error: float
+    # division by zero"
+    theta = 0.9 * 0.5 * pi_pq(PQParams(2, 0.01))
+    assert main(["eval", "--fn", "tan_pq", "--p", "2", "--q", "0.01", "--x", repr(theta)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tan_pq overflows: cos_pq = 0.0 at sin_pq = ")
 
 
 def test_method_and_tol_only_where_a_route_uses_them(capsys):

@@ -385,6 +385,20 @@ def test_moment_order_zero_is_half_period():
         assert moment_sin_pq(par, 0) == 0.5 * pi_pq(par)
 
 
+@pytest.mark.parametrize(
+    "p, q, tol", [(3.0, 2.0, 1e-13), (2.0, 1e-3, 1e-11)],
+)
+def test_moment_past_pochhammer_overflow(p, q, tol):
+    # both Pochhammer symbols overflow from n ~ 171 on: their quotient was nan.
+    # At q = 1e-3, pi_pq's own rounding (7.7e-13) is the error
+    mpmath = pytest.importorskip("mpmath")
+    par, n = PQParams(p, q), 200
+    with mpmath.workdps(50):
+        mq, ps = mpmath.mpf(q), mpmath.mpf(p) / (mpmath.mpf(p) - 1)
+        ref = mpmath.beta(1 / ps, 1 / mq) / mq * mpmath.rf(1 / mq, n) / mpmath.rf(1 / ps + 1 / mq, n)
+        assert abs(mpmath.mpf(moment_sin_pq(par, n)) / ref - 1) <= tol
+
+
 def test_moment_classical_sin_squared():
     # integral_0^{pi/2} sin^2 = pi/4
     assert abs(moment_sin_pq(PQParams(2, 2), 1) - math.pi / 4.0) <= 1e-13

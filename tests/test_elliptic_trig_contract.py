@@ -6,9 +6,10 @@ ulp(theta)).
 
 Hypothesis runs derandomized with a fixed example budget, so the examples
 are the same on every run.  p covers (-50, -0.01) u (1.001, 50), with a band
-of p in (1.001, 1.3), and q covers (0.05, 50).  k^q, x and theta spread
-over their whole ranges, with bands near both ends; theta reaches down to
-1e-300.
+of p in (1.001, 1.3), and q covers (0.05, 50), with a band of q in
+(1e-3, 0.05), where cos_pq underflows while sin_pq < 1.  k^q, x and theta
+spread over their whole ranges, with bands near both ends; theta reaches
+down to 1e-300.
 """
 
 import math
@@ -41,7 +42,7 @@ def _uniform(lo, hi):
 
 
 _P = st.one_of(_uniform(-50.0, -0.01), _uniform(1.001, 50.0), _uniform(1.001, 1.3))
-_Q = _uniform(0.05, 50.0)
+_Q = st.one_of(_uniform(0.05, 50.0), _uniform(1e-3, 0.05))
 # a share of [0, 1]: spread over it, or 10^-u from 0 (0 itself past 1e-324)
 # or from 1 (1 itself past 1e-16)
 _SHARE = st.one_of(

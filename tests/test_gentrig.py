@@ -51,6 +51,12 @@ def test_pi_pq_33():
     assert math.isclose(pi_pq(PQParams(3, 3)), exact, rel_tol=1e-13)
 
 
+def test_pi_pq_where_log_gamma_overflows():
+    # 1/q = 1e306 is past lgamma's range: this raised OverflowError
+    with pytest.raises(ValueError, match=r"^log_gamma overflows at x = 1e\+306$"):
+        pi_pq(PQParams(2, 1e-306))
+
+
 def test_pi_pq_matches_twice_arcsin_one():
     # auto's complement route returns pi_pq/2 itself at x = 1; the quadrature
     # route is independent of the beta function
@@ -385,6 +391,19 @@ def test_tan_range_error_at_half_period():
         for theta in (-0.1, 1.01 * half, math.nan):  # sin_pq's range check and message
             with pytest.raises(ValueError, match=r"^theta must lie in \[0, "):
                 tan_pq(par, theta)
+
+
+@pytest.mark.parametrize(
+    "par, theta",
+    [(PQParams(2, 0.01), 0.9 * 0.5 * pi_pq(PQParams(2, 0.01))),
+     (PQParams(-370.819958499655, 0.009604583318601503), 0.9057758069975889)],
+)
+def test_tan_where_cos_underflows(par, theta):
+    # for small q, cos_pq = (1 - s^q)^(1/q) underflows while sin_pq < 1: the
+    # first raised ZeroDivisionError, the second returned inf
+    assert 0.0 < sin_pq(par, theta) < 1.0
+    with pytest.raises(ValueError, match=r"^tan_pq overflows: cos_pq = "):
+        tan_pq(par, theta)
 
 
 def test_pythagorean_identity_grid():

@@ -3,6 +3,7 @@ normalizing constant, agreement of every representation of M_p and K_p, the
 binary-mean axioms, and the ordering across p = 1."""
 
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -105,6 +106,18 @@ def test_c_p_domain():
     for bad in (0.0, -1.0, math.inf):
         with pytest.raises(ValueError):
             c_p(bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: c_p(1e308), lambda: mean_mp(1.0, 0.5, 1e308), lambda: ordering(1.0, 0.5, 1e308)],
+    ids=["c_p", "mean_mp", "ordering"],
+)
+def test_beta_overflow_raises_value_error(call):
+    # B(1e-308, 1e-308) ~ 2e308 leaves the double range: all three raised
+    # OverflowError from exp
+    with pytest.raises(ValueError, match=r"^beta overflows at \(1e-308, 1e-308\)$"):
+        call()
 
 
 # ------------------------------------------------------------------ mean_mp
@@ -241,16 +254,26 @@ def test_kp_methods_agree():
 
 
 def _kp_ref(mpmath, a, b, p):
-    """K_p(a, b) at 40 digits; the limits K_0 and K_1 at p = 0 and 1."""
+    """K_p(a, b) at the working precision; the limits K_0 and K_1 at p = 0
+    and 1.  Elsewhere ((p-1)/p)(1 - x^p)/(1 - x^(p-1)), x = min/max, in the
+    form whose exponentials all have negative arguments, so that no |p| up to
+    the largest double overflows: x^c (1 - e^-|p l|)/(1 - e^-|(p-1) l|)
+    |p-1|/|p| times max(a, b), l = ln x, c = clamp(1 - p) in [0, 1]; below
+    t = -3000, e^t is under 1e-1300."""
     ma, mb, mp_ = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(p)
     lm = (ma - mb) / (mpmath.log(ma) - mpmath.log(mb))
     if p == 0:
         return ma * mb / lm
     if p == 1:
         return lm
-    s, x = max(ma, mb), min(ma, mb) / max(ma, mb)
-    lx = mpmath.log(x)
-    return s * (mp_ - 1) / mp_ * mpmath.expm1(mp_ * lx) / mpmath.expm1((mp_ - 1) * lx)
+    l = mpmath.log(min(ma, mb)) - mpmath.log(max(ma, mb))
+
+    def one_minus_exp(t):
+        return 1 if t < -3000 else -mpmath.expm1(t)
+
+    c = min(1, max(0, 1 - mp_))
+    return (max(ma, mb) * abs(mp_ - 1) / abs(mp_) * mpmath.exp(c * l)
+            * one_minus_exp(-abs(mp_ * l)) / one_minus_exp(-abs((mp_ - 1) * l)))
 
 
 def test_kp_near_the_removable_points():
@@ -313,14 +336,72 @@ def test_kp_closed_form_where_the_ratio_is_subnormal(a, b, p):
 
 
 def test_kp_closed_form_error_carries_the_rounding_of_c():
-    # c = 1 - p is rounded, and x^c multiplies that by |ln x| = 690.8: the
-    # value is 7.1e-224 off, 34 times a bare 4 eps |value|
+    # a rounded c = 1 - p under x^c multiplied that rounding by |ln x| = 690.8:
+    # the value was 3.8e-14 off relative; s = clamp(-p) is taken exactly now
     mpmath = pytest.importorskip("mpmath")
     r = _mean_kp(1.0, 1e-300, 0.3)
     with mpmath.workdps(50):
         err = abs(mpmath.mpf(r.value) - _kp_ref(mpmath, 1.0, 1e-300, 0.3))
-    assert err > 1e-224
+    assert err <= 2.0 * sys.float_info.epsilon * abs(r.value)
     assert err <= r.abs_err
+
+
+def _kp_sample(rng, n):
+    """n pairs (a, b) with p: scales 10^+-300, x = min/max = e^-u with u up
+    to 700, subnormal x and x that underflows to 0; p in (-50, 100), in
+    (-1, 1), or log-uniform in |p| from 1e-20 up to 1.7e308, either sign."""
+    out = []
+    for i in range(n):
+        hi = 10.0 ** rng.uniform(-300.0, 300.0)
+        kind = i % 4
+        if kind == 0:
+            lo = hi * math.exp(-rng.uniform(0.0, 700.0))
+        elif kind == 1:
+            lo = hi * 10.0 ** -rng.uniform(0.0, 16.0)
+        elif kind == 2:  # min/max subnormal
+            hi = 10.0 ** rng.uniform(-300.0, 308.0)
+            lo = hi * 2.0 ** -rng.uniform(1023.0, 1074.0)
+        else:  # min/max underflows to 0
+            hi = 10.0 ** rng.uniform(10.0, 308.0)
+            lo = 10.0 ** rng.uniform(-323.3, -310.0)
+        lo = max(lo, 5e-324)
+        band = rng.randrange(4)
+        if band == 0:
+            p = rng.uniform(-50.0, 100.0)
+        elif band == 1:
+            p = rng.uniform(-1.0, 1.0)
+        else:
+            p = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-20.0, 308.23)
+        out.append((lo, hi, p) if rng.random() < 0.5 else (hi, lo, p))
+    return out
+
+
+def test_kp_closed_form_within_its_error_everywhere():
+    # the closed form ran x^c in the normal range, up to eps |c ln x| off,
+    # and refused pairs whose ratio underflows to 0; every pair now takes the
+    # exact exponent s = clamp(-p), within about 2 eps of a normal result
+    mpmath = pytest.importorskip("mpmath")
+    eps = sys.float_info.epsilon
+    with mpmath.workdps(40):
+        for a, b, p in _kp_sample(random.Random(19), 2400):
+            r = _mean_kp(a, b, p)
+            err = abs(mpmath.mpf(r.value) - _kp_ref(mpmath, a, b, p))
+            assert err <= r.abs_err, (a, b, p)
+            if r.value >= sys.float_info.min:
+                assert err <= 4.0 * eps * r.value, (a, b, p)
+
+
+@pytest.mark.parametrize(
+    "a, b, p, expected",
+    [(1.0, 1e-300, -1e306, 1e-300), (1.0, 1e-300, 1e308, 1.0),
+     (5e-324, 1e308, 0.5, 2.2227587494850782e-08)],
+)
+def test_kp_closed_form_where_it_raised(a, b, p, expected):
+    # the first two raised ZeroDivisionError: |p l| overflows, so E(t) =
+    # expm1(t)/t was -1/-inf = 0 over 0; the last raised ValueError because
+    # the ratio 5e-324/1e308 underflows.  K_0.5 = sqrt(ab) there
+    assert mean_kp(a, b, p) == expected
+    assert mean_kp(b, a, p) == expected
 
 
 def test_kp_validation():

@@ -5,7 +5,8 @@ Hypothesis runs derandomized with a fixed example budget, so the examples
 are the same on every run.  The pair is (s, s x) in either order, with x
 log-uniform down to the least subnormal and s a scale factor; p covers
 [0, 200] for M_p and ordering and [-50, 200] for K_p, with bands of p near 0
-(and near 1 for K_p).
+(and near 1 for K_p), and log-uniform bands of |p| from 1 and from 1e307
+up to 1.7e308 (positive for M_p and ordering, either sign for K_p).
 """
 
 import math
@@ -41,6 +42,9 @@ def _uniform(lo, hi):
 _X = _uniform(0.0, 744.5).map(lambda u: max(math.exp(-u), 5e-324))
 _SCALE = st.sampled_from((1.0, 3.0, 1e-300, 1e300))
 _TINY_P = _uniform(0.0, 1e-6)
+# |p| log-uniform up to 1.7e308, with a band in the top decade, where
+# B(1/p, 1/p) in c_p leaves the double range (past p ~ 9e307)
+_HUGE_P = st.one_of(_uniform(0.0, 308.23), _uniform(307.0, 308.23)).map(lambda u: 10.0**u)
 
 
 def _pair(x, scale, swap):
@@ -59,7 +63,7 @@ def _keeps_contract(call):
 
 @_SETTINGS
 @hypothesis.given(
-    x=_X, p=st.one_of(_uniform(0.0, 200.0), _TINY_P), scale=_SCALE, swap=st.booleans()
+    x=_X, p=st.one_of(_uniform(0.0, 200.0), _TINY_P, _HUGE_P), scale=_SCALE, swap=st.booleans()
 )
 def test_mean_mp_and_ordering_keep_the_contract(x, p, scale, swap):
     a, b = _pair(x, scale, swap)
@@ -70,7 +74,9 @@ def test_mean_mp_and_ordering_keep_the_contract(x, p, scale, swap):
 
 @_SETTINGS
 @hypothesis.given(
-    x=_X, p=st.one_of(_uniform(-50.0, 200.0), _TINY_P, _TINY_P.map(lambda d: 1.0 + d)),
+    x=_X,
+    p=st.one_of(_uniform(-50.0, 200.0), _TINY_P, _TINY_P.map(lambda d: 1.0 + d), _HUGE_P,
+                _HUGE_P.map(lambda p: -p)),
     scale=_SCALE, swap=st.booleans(),
 )
 def test_mean_kp_keeps_the_contract(x, p, scale, swap):

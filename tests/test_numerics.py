@@ -69,6 +69,20 @@ def test_log_gamma_domain():
             log_gamma(bad)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: log_gamma(1e306), r"^log_gamma overflows at x = 1e\+306$"),
+     (lambda: beta(1.0, 1e306), r"^log_gamma overflows at x = 1e\+306$"),
+     (lambda: beta(1e-308, 1e-308), r"^beta overflows at \(1e-308, 1e-308\)$")],
+    ids=["log_gamma", "beta_lgamma", "beta_exp"],
+)
+def test_gamma_overflow_raises_value_error(call, message):
+    # math.lgamma overflows past x ~ 2.5e305 and exp where B leaves the
+    # double range; both raised OverflowError
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # --------------------------------------------------------------------- beta
 
 
