@@ -79,9 +79,8 @@ def _complete(params: PQParams, m: float, mc: float, method: str, second_kind: b
         pi, pi_rel = _pi_pq_rel(params)
         return _scaled(0.5 * pi, hyp2f1(HypSeriesSpec(a, inv_q, inv_ps + inv_q, m)), pi_rel)
     if route == "connection":
-        # summed until the tail bound is below rounding: a few terms more
         order = 1 if second_kind else 0
-        r = hyp2f1(_ConnectionSpec(inv_ps, inv_q + order, order, mc, rel_tol=2.0**-53))
+        r = hyp2f1(_ConnectionSpec(inv_ps, inv_q + order, order, mc))
         head, scale = (1.0, -mc / (params.p * params.q)) if second_kind else (0.0, -inv_q)
         return _shifted(head, 0.0, _scaled(scale, r))
     q, t_exp = params.q, -1.0 / params.p

@@ -23,13 +23,15 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .elliptic import K_pq, _complete  # K_pq unused: perfbench's tracer replaces means.K_pq
-from .gentrig import PQParams
+from .elliptic import K_pq  # unused: perfbench's tracer replaces means.K_pq
 from .numerics import (
     SERIES_ARG_MAX,
     EvalResult,
     HypSeriesSpec,
+    _beta_rel,
     _closed_form,
+    _connection_domain,
+    _ConnectionSpec,
     _over,
     _pick_route,
     _pow_pair,
@@ -58,10 +60,9 @@ _LIMIT_TOL = 2.0**-71
 _INTEGRAL_TOL = 1e-12  # tolerance of the integral routes
 
 # each mean's routes mapped to their independence classes, M_p's in auto's
-# order (K_p has no auto); M_p's elliptic route has the class of the
-# K_{p*,p} route it runs, which elliptic._admits decides at each point
+# order (K_p has no auto); M_p's elliptic route is K_{p*,p}'s log connection
 _MP_ROUTES = {"hyp_quad": "quadratic transformation", "hyp_base": "Gauss series",
-              "integral": "quadrature", "elliptic": None}
+              "integral": "quadrature", "elliptic": "log connection"}
 _KP_ROUTES = {"closed": "closed form", "integral": "quadrature", "hyp_base": "Gauss series",
               "hyp_quad": "quadratic transformation"}
 
@@ -89,9 +90,13 @@ def _normalized(a: float, b: float) -> tuple[float, float]:
 
 
 def _pow2_scaled(a: float, b: float, e: int) -> tuple[float, float]:
-    """(a 2^-e, b 2^-e), both normal.  Exact: a mean of the scaled pair times
-    2^e keeps its bits wherever the unscaled form stays in range."""
-    u, v = math.ldexp(a, -e), math.ldexp(b, -e)
+    """(a 2^-e, b 2^-e), both normal, or ValueError.  Exact: a mean of the
+    scaled pair times 2^e keeps its bits wherever the unscaled form stays in
+    range."""
+    try:
+        u, v = math.ldexp(a, -e), math.ldexp(b, -e)
+    except OverflowError:
+        u = v = math.inf
     if not (min(u, v) >= sys.float_info.min and max(u, v) < math.inf):
         raise ValueError(f"pair ratio of ({a!r}, {b!r}) is too wide for this mean")
     return u, v
@@ -202,24 +207,26 @@ def _recip(
     """1/mean(1, x) = F(a, 1/p; 2a; z), a = 1/p for M_p and 1 for K_p, at the
     pair (xp, z) = (x^p, 1 - x^p), formed once, by the route of ``routes`` that
     ``_pick_route`` chooses.  ``hyp_quad`` and ``hyp_base`` sum the series in
-    (z/(2-z))^2 and in z, up to SERIES_ARG_MAX; ``elliptic`` (M_p) is
-    c_p K_{p*,p} at k^p = z, for x^p in the normal range, as its connection
-    sum takes log x^p; ``integral`` admits every pair."""
+    (z/(2-z))^2 and in z, up to SERIES_ARG_MAX; ``elliptic`` (M_p) is K's log
+    connection -S_0(1/p, 1/p; x^p) / B(1/p, 1/p), where x^p is normal (the sum
+    takes log x^p) and ``_connection_domain`` holds; ``integral`` admits every pair."""
     xp, z = _pow_pair(x, p)
     zq = _quad_arg(z)
     admits = {"hyp_quad": zq <= SERIES_ARG_MAX, "hyp_base": z <= SERIES_ARG_MAX,
-              "elliptic": xp >= sys.float_info.min}
+              "elliptic": xp >= sys.float_info.min and _connection_domain(a, a, 0, xp)}
     route = _pick_route(
         method,
         routes,
         tuple(admits.get(r, True) for r in routes),
-        lambda r: f"x^p in the normal range, got {xp!r}"
+        lambda r: f"x^p in the normal range with x^p <= 1/2 and max(1/p, 1)^2 x^p <= 1, "
+        f"got {xp!r} at p = {p!r}"
         if r == "elliptic"
         else f"a series argument <= {SERIES_ARG_MAX}, "
         f"got {zq if r == 'hyp_quad' else z!r} at 1 - x^p = {z!r}",
     )
     if route == "elliptic":
-        return _scaled(c_p(p), _complete(PQParams(p / (p - 1.0), p), z, xp, "auto", False))
+        b, rel = _beta_rel(a, a)
+        return _scaled(-1.0 / b, hyp2f1(_ConnectionSpec(a, a, 0, xp)), rel)
     if route == "integral":
         return integral(xp, p)
     return (_hyp_quad if route == "hyp_quad" else _hyp_base)(a, 1.0 / p, z)
@@ -235,9 +242,13 @@ def _mean_mp(a: float, b: float, p: float, method: str = "auto") -> EvalResult:
     if a == b:
         return _closed_form(a)  # exact fixed point for every p
     if p <= _LIMIT_TOL:
-        e = (math.frexp(a)[1] + math.frexp(b)[1]) // 2  # 2^e near sqrt(ab)
-        u, v = _pow2_scaled(a, b, e)
-        return _closed_form(math.ldexp(math.sqrt(u * v), e))
+        # sqrt(ab) in frexp parts, the exponent sum made even: one rounding
+        # of the mantissa product, as sqrt(a * b) where that is in range
+        (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
+        m, e = ma * mb, ea + eb
+        if e % 2:
+            m, e = 2.0 * m, e - 1
+        return _closed_form(math.ldexp(math.sqrt(m), e // 2))
     if p == 1.0:
         return _closed_form(mean_log(a, b))
     scale, x = _normalized(a, b)
@@ -255,14 +266,14 @@ def mean_mp(a: float, b: float, p: float, method: str = "auto") -> float:
     ``auto`` takes the first of ``hyp_quad``, ``hyp_base`` and ``integral``
     whose domain admits the point (a series argument, (z/(2-z))^2 <= z or
     z = 1 - x^p, at most 0.99), and a named route outside raises ValueError.
-    ``elliptic`` is c_p K_{p*,p} with k^p = 1 - x^p, run on the exact pair
-    (x^p, 1 - x^p) that every route takes: it sums the base series itself
-    wherever K_{p*,p} takes its series in k^p (k^p <= 1/2, or where its
-    connection terms would grow), and its independent connection series in
-    x^p elsewhere.  It raises ValueError where c_p leaves the double range
-    (p below about 2e-3) or x^p is below the normal range.  The
-    integral runs to a fixed absolute tolerance of 1e-12 (``elliptic``'s
-    quadrature likewise); series routes keep hyp2f1's fixed stopping rule.
+    ``elliptic`` is c_p K_{p*,p} with k^p = 1 - x^p by K's log connection,
+    -S_0(1/p, 1/p; x^p) / B(1/p, 1/p) (A&S 15.3.10), taken on the exact
+    x^p with no conjugate p* formed.  It admits x^p in the normal range
+    where the connection sum's terms do not grow (x^p <= 1/2 and
+    max(1/p, 1)^2 x^p <= 1), and raises ValueError elsewhere; ``hyp_base``
+    or the integral admits every such point.  The integral runs to a fixed
+    absolute tolerance of 1e-12; series routes keep their kernel's fixed
+    stopping rule.
     ``_mean_mp`` also returns the kind of route that ran and the kernel's
     own error estimate.
     """
@@ -303,7 +314,11 @@ def _mean_kp(a: float, b: float, p: float, method: str = "closed") -> EvalResult
         return _closed_form(a)  # exact fixed point for every p
     if abs(p) <= _LIMIT_TOL:
         e = (math.frexp(a)[1] + math.frexp(b)[1]) // 2  # 2^e near sqrt(ab)
-        u, v = _pow2_scaled(a, b, e)
+        try:
+            u, v = _pow2_scaled(a, b, e)
+        except ValueError:  # 2^-e leaves one outside the normal range
+            lo, hi = min(a, b), max(a, b)
+            return _closed_form(lo * (hi / mean_log(lo, hi)))  # hi/L is near ln(hi/lo)
         return _closed_form(math.ldexp(u * v / mean_log(u, v), e))
     if p == 1.0:
         return _closed_form(mean_log(a, b))

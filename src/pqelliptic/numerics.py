@@ -241,7 +241,6 @@ class _ConnectionSpec:
     b: float
     m: int
     w: float
-    rel_tol: float
 
     @property
     def arg(self) -> float:
@@ -282,6 +281,9 @@ def hyp2f1(spec: HypSeriesSpec | _ConnectionSpec) -> EvalResult:
     )
 
 
+_LOG_SERIES_TOL = 2.0**-53  # the connection sum's stopping rule, relative
+
+
 def _log_series(spec: _ConnectionSpec) -> EvalResult:
     """The logarithmic sum of A&S 15.3.10 (m = 0) and 15.3.12 (m = 1) for
     F(a, b; a + b - m; 1 - w), with m and w read from the spec:
@@ -294,10 +296,10 @@ def _log_series(spec: _ConnectionSpec) -> EvalResult:
     the caller applies these factors.
 
     The bracket follows the digamma recurrences from psi(a) and psi(b).
-    Summation stops once a bound on the remaining tail falls below rel_tol
-    times the partial sum.  The error is that tail bound plus, for rounding,
-    n eps times the largest term and a few eps of the bracket's constants
-    carried by every term.
+    Summation stops once a bound on the remaining tail falls below 2^-53
+    times the partial sum, a few terms past rounding.  The error is that
+    tail bound plus, for rounding, n eps times the largest term and a few eps
+    of the bracket's constants carried by every term.
     """
     a, b, m, w = spec.a, spec.b, spec.m, spec.w
     log_w = math.log(w)
@@ -322,7 +324,7 @@ def _log_series(spec: _ConnectionSpec) -> EvalResult:
         cw *= an * bn / (n1 * (n1 + m)) * w
         # psi(a+n+1) - psi(a+n) - psi(n+2) + psi(n+1) = 1/(a+n) - 1/(n+1), and for b
         bracket += ua / (an * n1) + ub / (bn * (n1 + m))
-        if cw * size_w > spec.rel_tol * abs(total):
+        if cw * size_w > _LOG_SERIES_TOL * abs(total):
             continue  # the tail bound below is at least cw |log w|
         # Past n the factors (a + j)/(j + 1) and (b + j)/(j + m + 1) move
         # monotonically towards 1, so r bounds every later coefficient ratio,
@@ -332,7 +334,7 @@ def _log_series(spec: _ConnectionSpec) -> EvalResult:
             continue
         stray = da / (ya + n + 1) + db / (yb + n + 1)
         tail = cw * (size_w + stray) / (1.0 - r)
-        if tail <= spec.rel_tol * abs(total):
+        if tail <= _LOG_SERIES_TOL * abs(total):
             constants = 4.0 * (size_w + abs(psi_a) + abs(psi_b) + 2.0) * mass
             eps = sys.float_info.epsilon
             return EvalResult(total, tail + eps * ((n + 1) * peak + constants), "series")

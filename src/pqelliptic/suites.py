@@ -17,7 +17,7 @@ from . import elliptic, gentrig, means
 from .elliptic import E_pq, K_pq, dE_dk, dK_dk, legendre_residual, moment_sin_pq
 from .gentrig import PQParams, arcsin_pq, pi_pq, sin_pq
 from .means import mean_ag, mean_kp, mean_log, mean_mp, ordering
-from .numerics import HypSeriesSpec, _pick_route, _pow_pair, hyp2f1, integrate_singular
+from .numerics import HypSeriesSpec, hyp2f1, integrate_singular
 
 __all__ = ["CaseResult", "VerifyReport", "SUITE_NAMES", "run_suite"]
 
@@ -174,15 +174,6 @@ def _suite_trig() -> list[CaseResult]:
     return cases
 
 
-def _elliptic_class(p: float, x: float) -> str:
-    """The class of M_p's elliptic route at (1, x): that of the route K_{p*,p}'s
-    auto takes at the means' pair (x^p, 1 - x^p), which elliptic._admits says
-    without evaluating it (auto always finds one, so it never calls ``str``)."""
-    xp, z = _pow_pair(x, p)
-    admits = elliptic._admits(PQParams(p / (p - 1.0), p), z, xp, False)
-    return elliptic._ROUTES[_pick_route("auto", elliptic._ROUTES, admits, str)]
-
-
 # K and E at k = 0, 0.1, ..., 0.9 and at k^q = 0.75, 0.999 and 1 - 1e-9
 _ELLIPTIC_PAIRS = ((2, 2), (3, 2), (2, 3), (1.5, 4))
 _ELLIPTIC_POINTS = tuple(
@@ -222,7 +213,8 @@ def _route_cases(quantity: str, points) -> list[CaseResult]:
     Every route the quantity's table admits at a point runs once; a named
     route outside its domain raises ValueError "<route> route requires",
     and is left out.  Each pair of routes that ran, in table order, whose
-    independence classes differ is one case "<quantity> <r1>~<r2> <point>".
+    independence classes, read from the table, differ is one case
+    "<quantity> <r1>~<r2> <point>".
     A point where fewer than two classes ran is one failing case.  Points
     lie off the means' closed forms (p = 1, p <= 2^-71), which every route
     name returns.
@@ -234,7 +226,7 @@ def _route_cases(quantity: str, points) -> list[CaseResult]:
         ran = []
         for route, cls in routes.items():
             try:
-                ran.append((route, cls or _elliptic_class(*point), value(*point, route)))
+                ran.append((route, cls, value(*point, route)))
             except ValueError as err:
                 if not str(err).startswith(f"{route} route requires"):
                     raise

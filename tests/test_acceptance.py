@@ -73,7 +73,7 @@ def test_c05_representation_chain():
     # ordering grid; where a series argument exceeds 0.99 the route raises
     # and is left out (tests/test_routes.py checks that it does)
     grid = [(p, x) for p in _ORDERING_PS for x in _ORDERING_XS]
-    bad = case_failures(_route_cases("M_p", grid), 238, 1e-10)
+    bad = case_failures(_route_cases("M_p", grid), 186, 1e-10)
     bad += case_failures(_route_cases("K_p", grid), 264, 1e-10)
     report(5, "representation chain", bad)
 

@@ -1,18 +1,21 @@
 """Command-line interface: exit-code contract, output formats, CSV
 determinism, and the verify subcommand."""
 
+import errno
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
 import pytest
 
+from pqelliptic import suites
 from pqelliptic.cli import GridSpec, main
 from pqelliptic.elliptic import E_pq
 from pqelliptic.gentrig import PQParams, pi_pq
-from pqelliptic.suites import SUITE_NAMES
+from pqelliptic.suites import SUITE_NAMES, CaseResult
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -94,7 +97,7 @@ def test_eval_mean_prints_route_that_ran(capsys):
     assert out.out == "" and out.err.startswith("error: hyp_base route requires")
     cases = [
         (["--b", "0.5", "--p", "1e-22"], "closed_form"),  # the p -> 0 limit, below 2^-71
-        (["--b", "0.5", "--p", "3", "--method", "elliptic"], "series"),  # K_pq series
+        (["--b", "0.5", "--p", "3", "--method", "elliptic"], "series"),  # K's log connection
         (["--b", "1e-5", "--p", "2"], "quadrature"),  # auto past 0.99
     ]
     for args, method in cases:
@@ -299,6 +302,28 @@ def test_table_usage_errors(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "axes, err",
+    [
+        (["--q", "2", "--k", "0:1"], "--k: grid syntax is start:stop:count, got '0:1'"),
+        (["--q", "2", "--k", "0:x:5"], "--k: cannot parse grid '0:x:5'"),
+        (["--q", "abc", "--k", "0:0.5:3"], "--q: cannot parse number 'abc'"),
+    ],
+    ids=["two-fields", "bad-stop", "bad-number"],
+)
+def test_table_unparsable_axes_exit_2(axes, err, capsys):
+    assert main(["table", "--fn", "Kpq", "--p", "2", *axes]) == 2
+    assert capsys.readouterr() == ("", f"usage error: {err}\n")
+
+
+def test_table_out_into_a_missing_directory_exits_1(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "k.csv")
+    args = ["--fn", "Kpq", "--p", "2", "--q", "2", "--k", "0:0.5:3", "--out", out]
+    assert main(["table", *args]) == 1
+    reason = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
+
+
 # ------------------------------------------------------------------- verify
 
 
@@ -326,6 +351,26 @@ def test_verify_verbose_prints_cases(capsys):
     assert main(["verify", "trig", "--verbose"]) == 0
     err = capsys.readouterr().err
     assert err.count("ok  ") == 5
+
+
+def test_verify_failing_suite_exits_1(monkeypatch, capsys):
+    def failing():
+        """One case within its bound, one outside."""
+        return [CaseResult("good", 0.0, 1.0), CaseResult("bad", 2.0, 0.5)]
+
+    monkeypatch.setitem(suites._SUITES, "trig", failing)
+    assert main(["verify", "trig"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(
+        r"FAIL trig: 2 cases, 1 failures, max residual 2\.000e\+00, \d+\.\d\d s\n"
+        r"  failing: bad  residual=2\.000e\+00 \(bound 5\.0e-01\)\n",
+        err,
+    ), err
+    # the other suites still run and pass; the run as a whole fails
+    assert main(["verify", "all"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("PASS ") == len(SUITE_NAMES) - 1 and "Traceback" not in err
 
 
 def test_verify_unknown_suite(capsys):

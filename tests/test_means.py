@@ -24,7 +24,7 @@ from pqelliptic.means import (
     mean_mp,
     ordering,
 )
-from pqelliptic.numerics import HypSeriesSpec, hyp2f1, integrate_halfline
+from pqelliptic.numerics import HypSeriesSpec, _connection_domain, beta, hyp2f1, integrate_halfline
 from pqelliptic.suites import _route_cases
 
 MP_METHODS = tuple(_MP_ROUTES)
@@ -155,26 +155,77 @@ def _oracle():
     return oracle
 
 
-@pytest.mark.parametrize(
-    "x, p",
-    [(1e-6, 3.0), (0.999999, 0.01), (1e-30, 0.5), (1e-6, 1.5), (0.01, 5.0), (0.5, 2e-3)],
-)
+@pytest.mark.parametrize("x, p", [(1e-6, 3.0), (1e-30, 0.5), (1e-6, 1.5), (0.01, 5.0)])
 def test_mp_elliptic_takes_the_exact_pair(x, p):
     # K_{p*,p} took a rounded k = (1 - x^p)^(1/p): the first raised "modulus k
-    # must lie in [0, 1)", the next four were 5e-7 to 2.5e-9 off, the last
-    # returned 1.0 (k underflowed to 0) while the mean is 0.7071
+    # must lie in [0, 1)", the other three were 5e-7 to 2.5e-9 off
     ref = _oracle().reference("mean_mp", (1.0, x, p))
     v = mean_mp(1.0, x, p, "elliptic")
     assert abs(v - ref.value) <= 1e-9 * ref.value
 
 
 def test_mp_elliptic_out_of_range_raises_value_error():
-    # pi_{p*,p} underflowed and the route raised ZeroDivisionError; x^p
-    # underflowing to 0 leaves no log x^p for K's connection sum
-    with pytest.raises(ValueError, match="^c_p overflows"):
-        mean_mp(1.0, 0.5, 1e-3, "elliptic")
-    with pytest.raises(ValueError, match="^elliptic route requires x\\^p in the normal range"):
-        mean_mp(1.0, 1e-300, 5.0, "elliptic")
+    # x^p underflowing to 0 leaves no log x^p for the connection sum; at the
+    # other three x^p > 1/2, where K_{p*,p} took its Gauss series
+    for x, p in ((1e-300, 5.0), (0.5, 1e-3), (0.999999, 0.01), (0.5, 2e-3)):
+        with pytest.raises(ValueError, match="^elliptic route requires x\\^p in the normal range"):
+            mean_mp(1.0, x, p, "elliptic")
+
+
+def _elliptic_sample(seed, n):
+    """n seeded points (p, x) that the elliptic route admits: p log-uniform
+    in (0.012, 1e17), below which no double x is admitted, and x^p below the
+    domain's top min(1/2, p^2) by a log-uniform factor, down to the normal
+    range."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < n:
+        p = math.exp(rng.uniform(math.log(0.012), math.log(1e17)))
+        top = min(0.5, p * p)
+        below = math.exp(rng.uniform(math.log(1e-6), math.log(math.log(top / sys.float_info.min))))
+        x = math.exp((math.log(top) - below) / p)
+        xp = x**p  # x = 0 and x = 1 are refused here
+        if xp >= sys.float_info.min and _connection_domain(1.0 / p, 1.0 / p, 0, xp):
+            points.append((p, x))
+    return points
+
+
+def test_mp_elliptic_is_accurate_on_its_domain():
+    # K_{p*,p}'s auto at PQParams(p/(p - 1), p) lost about p eps to the
+    # conjugate, and summed hyp_base's own series at most points; at
+    # 1,000 admitted points the route is within abs_err of mpmath and within
+    # 1e-13 relative beyond B(1/p, 1/p)'s own rounding, which reaches
+    # 1.5e-13 below p = 0.02 (the lgamma sum of _beta_rel)
+    oracle = _oracle()
+    mpmath, recip = oracle.mpmath, oracle._recip_mp
+    for p, x in _elliptic_sample(20, 1000):
+        r = _mean_mp(1.0, x, p, "elliptic")
+        with mpmath.workdps(40):
+            ref = 1 / recip(p, x)
+            a = 1 / mpmath.mpf(p)
+            b_err = abs(beta(1.0 / p, 1.0 / p) / mpmath.beta(a, a) - 1)
+            err = abs(r.value - ref)
+            assert err <= r.abs_err, (p, x, r)
+            assert err <= (1e-13 + b_err) * ref, (p, x, r)
+
+
+@pytest.mark.parametrize(
+    "x, p",
+    [(0.9995987562517036, 3000.0), (0.9999995986758125, 3e6), (0.9999999999999988, 1e15),
+     (1.0 - 2.0**-53, 1e16)],
+)
+def test_mp_elliptic_forms_no_conjugate(x, p):
+    # x^p = 0.3; the route ran K_{p*,p} at PQParams(p/(p - 1), p): the
+    # first two were 1.2e-13 and 6.3e-11 off (claiming 6.3e-15 and less), the
+    # third 5.2 % off, above max(a, b), and the last raised "p must differ
+    # from 0 and 1 (conjugate undefined)"
+    mpmath = pytest.importorskip("mpmath")
+    r = _mean_mp(1.0, x, p, "elliptic")
+    with mpmath.workdps(60):
+        inv_p = 1 / mpmath.mpf(p)
+        ref = 1 / mpmath.hyp2f1(inv_p, inv_p, 2 * inv_p, 1 - mpmath.mpf(x) ** mpmath.mpf(p))
+        err = abs(r.value - ref)
+        assert err <= r.abs_err and err <= 1e-13 * ref, (r, ref)
 
 
 def test_mp_near_zero_p():
@@ -603,6 +654,20 @@ def test_subnormal_closed_form_error_covers_the_spacing(fn):
         r = fn(a, b, 0.0)
         assert r.abs_err > 0.0
         assert abs(mpmath.mpf(r.value) - ref) <= r.abs_err
+
+
+@pytest.mark.parametrize("pair", [(1e308, 5e-324), (1e308, 1e-320), (1.7e308, 2e-310)])
+def test_limit_forms_at_the_widest_pairs(pair):
+    # scaling the pair by the power of two nearest sqrt(ab) overflowed, and
+    # mean_mp, mean_kp and ordering raised OverflowError at p = 0
+    mpmath = pytest.importorskip("mpmath")
+    m0, k0 = _mean_mp(*pair, 0.0), _mean_kp(*pair, 0.0)
+    with mpmath.workdps(50):
+        a, b = (mpmath.mpf(v) for v in pair)
+        lm = (a - b) / (mpmath.log(a) - mpmath.log(b))
+        for r, ref in ((m0, mpmath.sqrt(a * b)), (k0, a * b / lm)):
+            assert abs(mpmath.mpf(r.value) - ref) <= r.abs_err, (pair, r, ref)
+    assert ordering(*pair, 0.0).gap == m0.value - k0.value
 
 
 def test_closed_forms_in_range_are_unchanged():

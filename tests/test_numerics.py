@@ -233,7 +233,7 @@ def test_digamma_matches_mpmath():
 
 
 def _connection(a, b, m, w):
-    return hyp2f1(_ConnectionSpec(a, b, m, w, rel_tol=2.0**-53))
+    return hyp2f1(_ConnectionSpec(a, b, m, w))
 
 
 def test_connection_series_closed_forms():
@@ -253,7 +253,7 @@ def test_connection_series_closed_forms():
 def test_connection_spec_validation():
     # the public spec has one meaning; the connection sum has its own spec
     assert [f.name for f in dataclasses.fields(HypSeriesSpec)] == ["a", "b", "c", "arg", "rel_tol"]
-    assert _ConnectionSpec(1.0, 1.0, 0, 0.25, 1e-14).arg == 0.75
+    assert _ConnectionSpec(1.0, 1.0, 0, 0.25).arg == 0.75
     # q = 0.05, k = 1 - 2^-53: k^q rounds to 1.0, its complement does not
     m, w = _pow_pair(1.0 - 2.0**-53, 0.05)
     assert m == 1.0 and 0.0 < w < 1e-17

@@ -10,7 +10,7 @@ table's admission says no.  The ``routes`` cases pair routes of distinct
 independence classes only.
 """
 
-import math
+import sys
 
 import pytest
 
@@ -18,7 +18,7 @@ from pqelliptic import elliptic, gentrig, means
 from pqelliptic.elliptic import E_pq, K_pq
 from pqelliptic.gentrig import PQParams, arcsin_pq
 from pqelliptic.means import _mean_kp, _mean_mp, mean_kp, mean_mp
-from pqelliptic.numerics import _pow_pair
+from pqelliptic.numerics import _connection_domain, _pow_pair
 from pqelliptic.suites import (
     _ELLIPTIC_PAIRS,
     _ELLIPTIC_POINTS,
@@ -27,20 +27,19 @@ from pqelliptic.suites import (
     _ORDERING_XS,
     _QUANTITIES,
     _TRIG_POINTS,
-    _elliptic_class,
     _route_cases,
 )
 
 ELLIPTIC_KQ = (0.3, 0.75, 0.995, 1 - 1e-9)
 C05_GRID = [(p, x) for p in _ORDERING_PS for x in _ORDERING_XS]
 
-# method -> the kind of route it runs; M_p's elliptic route runs whichever
-# route K_pq's auto takes
+# method -> the kind of route it runs; M_p's elliptic route sums K's log
+# connection
 KIND = {
     "hyp_base": {"series"},
     "hyp_quad": {"series"},
     "integral": {"quadrature"},
-    "elliptic": {"series", "quadrature"},
+    "elliptic": {"series"},
     "closed": {"closed_form"},
     "series": {"series"},
     "connection": {"series"},
@@ -54,9 +53,9 @@ def _named(fn, method, *args):
     try:
         r = fn(*args, method)
     except ValueError as err:
-        if method in ("elliptic", "closed", "quadrature", "integral"):
+        if method in ("closed", "quadrature", "integral"):
             raise  # these routes have no domain of their own on these grids
-        assert str(err).startswith(f"{method} route"), (method, args, err)
+        assert str(err).startswith(f"{method} route requires"), (method, args, err)
         return None
     assert r.method in KIND[method], (method, args, r)
     return r
@@ -73,11 +72,16 @@ def test_mean_routes_run_only_themselves(fn, routes):
         results = {m: _named(fn, m, 1.0, x, p) for m in routes}
         raised += sum(r is None for r in results.values())
         # a series route raises exactly where its argument, 1 - x^p for
-        # hyp_base and its quadratic transform for hyp_quad, exceeds 0.99
-        z = -math.expm1(p * math.log(x))
-        args = {"hyp_base": z, "hyp_quad": (z / (2.0 - z)) ** 2}
+        # hyp_base and its quadratic transform for hyp_quad, exceeds 0.99;
+        # elliptic where x^p is not normal or its connection sum's terms grow
+        xp, z = _pow_pair(x, p)
+        refused = {
+            "hyp_base": z > 0.99,
+            "hyp_quad": (z / (2.0 - z)) ** 2 > 0.99,
+            "elliptic": not (xp >= sys.float_info.min and _connection_domain(1 / p, 1 / p, 0, xp)),
+        }
         for m, r in results.items():
-            assert (r is None) == (args.get(m, 0.0) > 0.99), (m, p, x)
+            assert (r is None) == refused.get(m, False), (m, p, x)
         if fn is _mean_mp:
             # auto is the first route of the table that runs, the rule K and E follow
             chosen = next(r for r in results.values() if r is not None)
@@ -168,14 +172,19 @@ def test_route_cases_pair_distinct_classes(quantity, points):
         assert cases, point
         for c in cases:
             r1, r2 = c.name.split(" ")[1].split("~")
-            classes = [routes[r] or _elliptic_class(*point) for r in (r1, r2)]
-            assert classes[0] != classes[1], c.name
+            assert routes[r1] != routes[r2], c.name
+
+
+def test_every_route_has_one_class():
+    # the generator reads each route's class from its table
+    for quantity, (routes, *_) in _QUANTITIES.items():
+        assert all(isinstance(cls, str) and cls for cls in routes.values()), quantity
+    assert means._MP_ROUTES["elliptic"] == "log connection"
 
 
 def test_elliptic_meets_hyp_base_only_at_log_connection_points():
-    # M_p's elliptic route is K_{p*,p}'s auto, and wherever that takes K's
-    # Gauss series it sums hyp_base's own series: the two are compared only
-    # where K takes its log connection and hyp_base runs (1 - x^p <= 0.99)
+    # M_p's elliptic route is K_{p*,p}'s log connection, so it is compared
+    # with hyp_base wherever both run: the connection domain and 1 - x^p <= 0.99
     met = {
         tuple(float(v.split("=")[1]) for v in c.name.split(" ")[2:])
         for c in _route_cases("M_p", C05_GRID)
@@ -184,6 +193,6 @@ def test_elliptic_meets_hyp_base_only_at_log_connection_points():
     log_points = set()
     for p, x in C05_GRID:
         xp, z = _pow_pair(x, p)
-        if elliptic._admits(PQParams(p / (p - 1.0), p), z, xp, False)[0] and z <= 0.99:
+        if _connection_domain(1 / p, 1 / p, 0, xp) and z <= 0.99:
             log_points.add((p, x))
     assert met == log_points and len(met) == 17
