@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .elliptic import K_pq  # unused: perfbench's tracer replaces means.K_pq
@@ -36,9 +37,8 @@ from .numerics import (
     _pick_route,
     _pow_pair,
     _scaled,
-    beta,
     hyp2f1,
-    integrate_halfline,
+    integrate_halfline,  # unused: perfbench's tracer replaces means.integrate_halfline
     integrate_singular,
 )
 
@@ -142,28 +142,41 @@ def c_p(p: float) -> float:
     """
     if not (p > 0.0 and math.isfinite(p)):
         raise ValueError(f"c_p requires p > 0, got {p!r}")
-    b = beta(1.0 / p, 1.0 / p)
+    return _c_p_rel(p)[0]
+
+
+def _c_p_rel(p: float) -> tuple[float, float]:
+    """c_p for p > 0 and the relative rounding error of its beta function."""
+    b, rel = _beta_rel(1.0 / p, 1.0 / p)
     c = p / b if b > 0.0 else math.inf
     if c == math.inf:
         raise ValueError(f"c_p overflows at p = {p!r}: B(1/p, 1/p) = {b!r}")
-    return c
+    return c, rel
 
 
-def _recip_mp_integral(xp: float, p: float) -> EvalResult:
-    """1/M_p(1, x) as c_p times the half-line integral of
-    ((t^p + 1)(t^p + xp))^(-1/p), xp = x^p."""
+def _recip_mp_integral(x: float, xp: float, p: float) -> EvalResult:
+    """1/M_p(1, x) = c_p integral_0^1 (2 h(u) + L k(u)) du, xp = x^p, L = -ln x.
+
+    The half-line integral of ((t^p + 1)(t^p + xp))^(-1/p) has features at
+    t = x and t = 1.  t = x u on (0, x) and t = 1/u on (1, inf) both give
+    h(u) = ((1 + u^p)(1 + xp u^p))^(-1/p); t = x^(1-u) on (x, 1) gives
+    L k(u), k(u) = ((1 + e^(p ln x (1-u)))(1 + e^(p ln x u)))^(-1/p), with
+    1 - u the node's exact complement.  The sum is smooth on [0, 1] and
+    needs only p ln x, finite for every positive double; where xp
+    underflows to 0, h takes it as 0.  The error adds c_p's beta rounding.
+    """
+    c, rel = _c_p_rel(p)
     inv_p = 1.0 / p
+    lx = math.log(x)
+    a = p * lx
 
-    def f(t: float) -> float:
-        if t <= 1.0:
-            tp = t**p
-            return ((tp + 1.0) * (tp + xp)) ** -inv_p
-        # fold large t through s = 1/t to keep t^p from overflowing
-        s = 1.0 / t
-        sp = s**p
-        return s * s * ((1.0 + sp) * (1.0 + xp * sp)) ** -inv_p
+    def f(u: float, uc: float) -> float:
+        up = u**p
+        h = ((1.0 + up) * (1.0 + xp * up)) ** -inv_p
+        k = ((1.0 + math.exp(a * uc)) * (1.0 + math.exp(a * u))) ** -inv_p
+        return 2.0 * h - lx * k
 
-    return _scaled(c_p(p), integrate_halfline(f, _INTEGRAL_TOL))
+    return _scaled(c, integrate_singular(f, _INTEGRAL_TOL), rel)
 
 
 def _recip_kp_integral(xp: float, p: float) -> EvalResult:
@@ -209,7 +222,8 @@ def _recip(
     ``_pick_route`` chooses.  ``hyp_quad`` and ``hyp_base`` sum the series in
     (z/(2-z))^2 and in z, up to SERIES_ARG_MAX; ``elliptic`` (M_p) is K's log
     connection -S_0(1/p, 1/p; x^p) / B(1/p, 1/p), where x^p is normal (the sum
-    takes log x^p) and ``_connection_domain`` holds; ``integral`` admits every pair."""
+    takes log x^p) and ``_connection_domain`` holds; ``integral(xp, p)`` admits
+    every pair, x^p underflowing to 0 included."""
     xp, z = _pow_pair(x, p)
     zq = _quad_arg(z)
     admits = {"hyp_quad": zq <= SERIES_ARG_MAX, "hyp_base": z <= SERIES_ARG_MAX,
@@ -252,7 +266,7 @@ def _mean_mp(a: float, b: float, p: float, method: str = "auto") -> EvalResult:
     if p == 1.0:
         return _closed_form(mean_log(a, b))
     scale, x = _normalized(a, b)
-    return _over(scale, _recip(method, _MP_ROUTES, x, p, 1.0 / p, _recip_mp_integral))
+    return _over(scale, _recip(method, _MP_ROUTES, x, p, 1.0 / p, partial(_recip_mp_integral, x)))
 
 
 def mean_mp(a: float, b: float, p: float, method: str = "auto") -> float:
@@ -271,9 +285,12 @@ def mean_mp(a: float, b: float, p: float, method: str = "auto") -> float:
     x^p with no conjugate p* formed.  It admits x^p in the normal range
     where the connection sum's terms do not grow (x^p <= 1/2 and
     max(1/p, 1)^2 x^p <= 1), and raises ValueError elsewhere; ``hyp_base``
-    or the integral admits every such point.  The integral runs to a fixed
-    absolute tolerance of 1e-12; series routes keep their kernel's fixed
-    stopping rule.
+    or the integral admits every such point.  ``integral`` folds the
+    half-line integral onto one smooth integral over (0, 1) that needs only
+    x^p and p ln x, so it returns a value wherever c_p is finite, x^p
+    underflowing to 0 included; it runs to a fixed absolute tolerance of
+    1e-12, and its error includes c_p's beta rounding.  Series routes keep
+    their kernel's fixed stopping rule.
     ``_mean_mp`` also returns the kind of route that ran and the kernel's
     own error estimate.
     """

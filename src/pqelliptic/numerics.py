@@ -462,19 +462,15 @@ def _one_minus_pow(y: float, yc: float, q: float) -> float:
     return -math.expm1(q * lg)
 
 
-def _one_minus_xp(x: float, p: float) -> float:
-    """1 - x^p for x > 0 without cancellation for x near 1."""
-    return -math.expm1(p * math.log(x))
-
-
 def _pow_pair(x: float, q: float) -> tuple[float, float]:
-    """(m, mc) = (x^q, 1 - x^q) for x in [0, 1], exactly (0, 1) at x = 0.
+    """(m, mc) = (x^q, 1 - x^q) for x in [0, 1], exactly (0, 1) at x = 0;
+    mc comes from expm1, without cancellation for x near 1.
 
     Form 1 - m t^q as mc + m (1 - t^q): neither term cancels as m -> 1.
     """
     if x == 0.0:
         return 0.0, 1.0
-    return x**q, _one_minus_xp(x, q)
+    return x**q, -math.expm1(q * math.log(x))
 
 
 def invert_monotone(

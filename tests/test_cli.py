@@ -157,8 +157,8 @@ def test_hyp2f1_outside_its_domain_exits_1(args, capsys):
 @pytest.mark.parametrize(
     "args",
     (
-        # x^p underflows and the integrand raises 0 to a negative power
-        ["--fn", "Mp", "--a", "1", "--b", "1e-30", "--p", "60"],
+        # B(1/p, 1/p) underflows, so c_p = p / B is not a finite float
+        ["--fn", "Mp", "--a", "1", "--b", "0.1", "--p", "1.8e-3", "--method", "integral"],
         # the integrand overflows; auto sums the connection series here
         ["--fn", "Kpq", "--p", "1.01", "--q", "0.5", "--k", "0.99", "--method", "quadrature"],
     ),
@@ -172,6 +172,16 @@ def test_eval_arithmetic_failure_exits_1_without_traceback(args):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_eval_mp_where_x_p_underflows(capsys):
+    # x^p = 1e-1800 underflows to 0; the integral exited 1 here
+    assert main(["eval", "--fn", "Mp", "--a", "1", "--b", "1e-30", "--p", "60"]) == 0
+    assert abs(value_of(capsys) - 0.028126086987877778) <= 1e-15
+    # where c_p overflows the integral still exits 1
+    tiny_p = ["--fn", "Mp", "--a", "1", "--b", "0.1", "--p", "1.8e-3", "--method", "integral"]
+    assert main(["eval"] + tiny_p) == 1
+    assert capsys.readouterr().err.startswith("error: c_p overflows at p = 0.0018")
 
 
 def test_eval_tan_where_cos_underflows(capsys):

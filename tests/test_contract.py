@@ -23,17 +23,12 @@ from pqelliptic.cli import _FNS
         # the integrand overflows at the denormal nodes next to t = 1
         lambda: arcsin_pq(PQParams(1.001, 3), 1.0, "quadrature"),
         lambda: K_pq(PQParams(1.01, 0.5), 0.99, "quadrature"),
-        # x^p underflows to 0, and the half-line integrand raises 0 to -1/p
-        lambda: mean_mp(1, 1e-30, 60),
-        lambda: mean_mp(1, 1e-300, 5),
-        lambda: mean_mp(1, 1e-100, 30, "integral"),
         # B(1/p, 1/p) underflows, so c_p = p / B is not a finite float
         lambda: mean_mp(1, 0.1, 1.8e-3, "integral"),
         lambda: c_p(1e-3),
         lambda: c_p(1.9e-3),
     ),
-    ids=("arcsin_quadrature", "K_quadrature", "mp_1e-30_60", "mp_1e-300_5",
-         "mp_integral_1e-100_30", "mp_integral_tiny_p", "c_p_1e-3", "c_p_1.9e-3"),
+    ids=("arcsin_quadrature", "K_quadrature", "mp_integral_tiny_p", "c_p_1e-3", "c_p_1.9e-3"),
 )
 def test_arithmetic_failures_raise_value_error(call):
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from pqelliptic import means
 from pqelliptic.means import (
     _KP_ROUTES,
     _MP_ROUTES,
@@ -281,6 +282,68 @@ def test_mp_quadrature_error_never_below_rounding():
     r = _mean_mp(1.0, 1e-5, 2.0)
     assert r.method == "quadrature"
     assert r.abs_err >= 4.0 * sys.float_info.epsilon * r.value
+
+
+@pytest.mark.parametrize(
+    "x, p, method",
+    [(1e-30, 60.0, "auto"), (1e-300, 5.0, "auto"), (1e-100, 30.0, "integral")],
+    ids=("mp_1e-30_60", "mp_1e-300_5", "mp_integral_1e-100_30"),
+)
+def test_mp_integral_where_x_p_underflows(x, p, method):
+    # x^p underflows to 0: the half-line integrand raised 0 to -1/p, and the
+    # call raised ValueError; over (0, 1) h takes x^p = 0 and k needs only p ln x
+    oracle = _oracle()
+    r = _mean_mp(1.0, x, p, method)
+    with oracle.mpmath.workdps(40):
+        ref = 1 / oracle._recip_mp(p, x)
+        err = abs(r.value - ref)
+        assert err <= r.abs_err and err <= 1e-13 * ref, (r, ref)
+
+
+def test_mp_integral_at_small_p():
+    # the half-line integral, about 1e-301 here, met its absolute tolerance
+    # at once and was 6 % off, claiming 1.2 %
+    ref = _oracle().reference("mean_mp", (1.0, 0.1, 2e-3)).value
+    r = _mean_mp(1.0, 0.1, 2e-3, "integral")
+    assert abs(r.value - ref) <= min(r.abs_err, 1e-10 * ref), (r, ref)
+
+
+def test_mp_integral_work_is_bounded(monkeypatch):
+    # a deterministic work count: integrand evaluations of the named integral
+    # on a fixed grid, x^p underflowing at 16 of its 72 points; the smooth
+    # integrand over (0, 1) takes 414 on average and at most 789, where the
+    # half-line integral took 5,740 and 25,140 at the 56 points it returned
+    evals = []
+    quad = means.integrate_singular
+
+    def counted(f, tol):
+        def g(u, uc):
+            evals[-1] += 1
+            return f(u, uc)
+
+        evals.append(0)
+        return quad(g, tol)
+
+    monkeypatch.setattr(means, "integrate_singular", counted)
+    for p in (0.05, 0.2, 0.5, 2.0, 3.0, 7.0, 20.0, 60.0, 200.0):
+        for x in (0.9, 0.5, 0.1, 1e-3, 1e-10, 1e-30, 1e-100, 1e-300):
+            mean_mp(1.0, x, p, "integral")
+    assert len(evals) == 72
+    assert sum(evals) / len(evals) <= 620 and max(evals) <= 1180, evals
+
+
+def test_mp_integral_is_within_its_error_bound():
+    # 60 seeded points, p log-uniform in [0.035, 1e3] and -ln x in
+    # [1e-9, 690]: the half-line integral raised at 8 of them and was outside
+    # abs_err at 2
+    oracle = _oracle()
+    rng = random.Random(21)
+    for _ in range(60):
+        p = math.exp(rng.uniform(math.log(0.035), math.log(1e3)))
+        x = math.exp(-math.exp(rng.uniform(math.log(1e-9), math.log(690.0))))
+        r = _mean_mp(1.0, x, p, "integral")
+        ref = oracle.reference("mean_mp", (1.0, x, p)).value
+        assert abs(r.value - ref) <= r.abs_err, (p, x, r, ref)
 
 
 # ------------------------------------------------------------------ mean_kp
