@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Callable, Collection, TextIO
 
 from .elliptic import E_pq, K_pq
-from .gentrig import PQParams, _sin_pq, pi_pq
+from .gentrig import PQParams, _pi_pq_rel, _sin_pq
 from .means import _mean_kp, _mean_mp, mean_ag, mean_log, ordering
-from .numerics import ConvergenceError, EvalResult, HypSeriesSpec, _closed_form, hyp2f1
+from .numerics import ConvergenceError, EvalResult, HypSeriesSpec, _closed_form, _scaled, hyp2f1
 from .suites import _SUITES, SUITE_NAMES, run_suite
 
 __all__ = ["main"]
@@ -64,12 +64,18 @@ def _need(args: dict, names: tuple[str, ...], fn: str) -> list[float]:
     return [args[n] for n in names]
 
 
+def _pi_pq(p: float, q: float) -> EvalResult:
+    """pi_pq with its beta function's rounding."""
+    pi, rel = _pi_pq_rel(PQParams(p, q))
+    return _scaled(1.0, _closed_form(pi), rel)
+
+
 # --fn display name -> (function returning an EvalResult, the flags it takes
 # in order, the options it forwards); the names, in this order, are --fn's
 # help and its unknown-function error.  The trig functions report the error
 # and route of ``_sin_pq``.
 _FNS: dict[str, tuple[Callable[..., EvalResult], tuple[str, ...], tuple[str, ...]]] = {
-    "pi_pq": (lambda p, q: _closed_form(pi_pq(PQParams(p, q))), ("p", "q"), ()),
+    "pi_pq": (_pi_pq, ("p", "q"), ()),
     "sin_pq": (lambda p, q, x: _sin_pq(PQParams(p, q), x, "sin"), ("p", "q", "x"), ()),
     "cos_pq": (lambda p, q, x: _sin_pq(PQParams(p, q), x, "cos"), ("p", "q", "x"), ()),
     "tan_pq": (lambda p, q, x: _sin_pq(PQParams(p, q), x, "tan"), ("p", "q", "x"), ()),

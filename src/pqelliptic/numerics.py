@@ -268,7 +268,7 @@ def hyp2f1(spec: HypSeriesSpec | _ConnectionSpec) -> EvalResult:
     small = 0
     for n in range(_MAX_TERMS):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * x
-        if abs(term) <= spec.rel_tol * abs(total):
+        if not abs(term) > spec.rel_tol * abs(total):  # a NaN term stops the sum
             small += 1
             if small >= 2:
                 return EvalResult(total, abs(term), "series")

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from pqelliptic import suites
+from pqelliptic import cli, suites
 from pqelliptic.cli import GridSpec, main
 from pqelliptic.elliptic import E_pq
 from pqelliptic.gentrig import PQParams, pi_pq
@@ -34,6 +34,19 @@ def test_eval_pi(capsys):
     out = capsys.readouterr().out
     assert out.startswith("3.14159265358")
     assert "method=closed_form" in out
+
+
+@pytest.mark.parametrize("p, q", [(-0.011, 0.06), (200.0, 0.01), (2.0, 2.0)])
+def test_eval_pi_error_covers_the_beta_rounding(p, q):
+    # abs_err carries the beta function's rounding, not only the closed
+    # form's 4 eps: at (-0.011, 0.06) the value is 1.1e-13 off relative
+    mpmath = pytest.importorskip("mpmath")
+    r = cli._evaluate("pi_pq", {"p": p, "q": q})
+    assert r.value == pi_pq(PQParams(p, q))
+    assert r.method == "closed_form"
+    with mpmath.workdps(50):
+        ref = 2 / mpmath.mpf(q) * mpmath.beta(1 - 1 / mpmath.mpf(p), 1 / mpmath.mpf(q))
+        assert abs(mpmath.mpf(r.value) - ref) <= r.abs_err
 
 
 def test_eval_K_at_zero(capsys):
@@ -161,6 +174,8 @@ def test_hyp2f1_outside_its_domain_exits_1(args, capsys):
         ["--fn", "Mp", "--a", "1", "--b", "0.1", "--p", "1.8e-3", "--method", "integral"],
         # the integrand overflows; auto sums the connection series here
         ["--fn", "Kpq", "--p", "1.01", "--q", "0.5", "--k", "0.99", "--method", "quadrature"],
+        # the pair ratio min/max underflows to 0
+        ["--fn", "Mp", "--a", "5e-324", "--b", "1e308", "--p", "2"],
     ),
 )
 def test_eval_arithmetic_failure_exits_1_without_traceback(args):

@@ -505,6 +505,25 @@ def test_kp_closed_form_within_its_error_everywhere():
                 assert err <= 4.0 * eps * r.value, (a, b, p)
 
 
+def test_k0_is_the_closed_forms_limit():
+    # K_0 = ab/L was a second formula on a pair scaled by a power of two,
+    # with a fallback where the scaling left the normal range; every
+    # |p| <= 2^-71 now takes the closed form's p -> 0 limit
+    mpmath = pytest.importorskip("mpmath")
+    eps = sys.float_info.epsilon
+    pairs = [(1e308, 5e-324), (1e308, 1e-320), (1.7e308, 2e-310), (5e-324, 1e-323)]
+    pairs += [(a, b) for a, b, _ in _kp_sample(random.Random(22), 2000) if a != b]
+    with mpmath.workdps(50):
+        for a, b in pairs:
+            ref = _kp_ref(mpmath, a, b, 0.0)
+            for p in (0.0, 1e-30, -1e-30, 2.0**-71, -(2.0**-71), 5e-324):
+                r = _mean_kp(a, b, p)
+                err = abs(mpmath.mpf(r.value) - ref)
+                assert err <= r.abs_err, (a, b, p)
+                if r.value >= sys.float_info.min:
+                    assert err <= 2.0 * eps * r.value, (a, b, p)
+
+
 @pytest.mark.parametrize(
     "a, b, p, expected",
     [(1.0, 1e-300, -1e306, 1e-300), (1.0, 1e-300, 1e308, 1.0),
@@ -733,9 +752,18 @@ def test_limit_forms_at_the_widest_pairs(pair):
     assert ordering(*pair, 0.0).gap == m0.value - k0.value
 
 
+def test_pair_ratio_underflow_raises_value_error():
+    # min/max = 5e-324/1e308 underflows to 0: only the closed forms take it
+    for call in (lambda: mean_mp(5e-324, 1e308, 2.0),
+                 lambda: mean_kp(5e-324, 1e308, 2.0, "integral")):
+        with pytest.raises(ValueError, match="^pair ratio min/max underflows to zero"):
+            call()
+
+
 def test_closed_forms_in_range_are_unchanged():
     # scaling by a power of two is exact: in range, the unscaled formulas
-    # give the same bits (the logarithmic mean with the larger term first)
+    # give the same bits (the logarithmic mean with the larger term first);
+    # K_0 is the closed form's own limit, held to 2 eps of mpmath instead
     def agm(a, b):
         while abs(a - b) > 1e-15 * a:
             a, b = 0.5 * (a + b), math.sqrt(a * b)
@@ -750,7 +778,13 @@ def test_closed_forms_in_range_are_unchanged():
         assert mean_log(a, b) == lm, (a, b)
         assert mean_ag(a, b) == agm(a, b), (a, b)
         assert mean_mp(a, b, 0.0) == math.sqrt(a * b), (a, b)
-        assert mean_kp(a, b, 0.0) == a * b / lm, (a, b)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for a, b in pairs:
+            ref = _kp_ref(mpmath, a, b, 0.0)
+            r = _mean_kp(a, b, 0.0)
+            assert abs(mpmath.mpf(r.value) - ref) <= r.abs_err, (a, b)
+            assert abs(mpmath.mpf(r.value) / ref - 1) <= 2 * sys.float_info.epsilon, (a, b)
 
 
 # ----------------------------------------------------------------- ordering

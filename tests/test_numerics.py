@@ -188,6 +188,19 @@ def test_hyp2f1_nonconvergence(monkeypatch):
         hyp2f1(HypSeriesSpec(0.5, 0.5, 1.0, 0.9))
 
 
+def test_hyp2f1_stops_at_a_nan_term(monkeypatch):
+    # (a + n)(b + n) overflows and meets the zero argument: the first term is
+    # NaN, no NaN compares as small, and the sum ran 10^6 terms to raise
+    # ConvergenceError.  It now stops two terms later on the NaN sum
+    from pqelliptic.gentrig import PQParams, arcsin_pq
+
+    monkeypatch.setattr(numerics, "_MAX_TERMS", 10)
+    with pytest.raises(ValueError, match="^non-finite value nan"):
+        hyp2f1(HypSeriesSpec(1e300, -1e300, 1e300, 0.0))
+    with pytest.raises(ValueError, match="^non-finite value nan"):
+        arcsin_pq(PQParams(-1e-300, 1e-300), 1.0)
+
+
 def test_hyp_series_spec_validation():
     with pytest.raises(ValueError):
         HypSeriesSpec(1.0, 1.0, 0.0, 0.5)  # c = 0
@@ -399,6 +412,15 @@ def test_invert_endpoints_and_bracket_error():
         invert_monotone(lambda x: x, 2.0, 0.0, 1.0, 1e-12)
     with pytest.raises(ValueError):
         invert_monotone(lambda x: x, -0.1, 0.0, 1.0, 1e-12)
+
+
+def test_invert_rejects_an_empty_bracket_and_bad_tol():
+    for lo, hi in ((1.0, 1.0), (1.0, 0.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="^need lo < hi"):
+            invert_monotone(lambda x: x, 0.5, lo, hi, 1e-12)
+    for tol in (0.0, -1e-12, math.nan):
+        with pytest.raises(ValueError, match="^tol must be positive"):
+            invert_monotone(lambda x: x, 0.5, 0.0, 1.0, tol)
 
 
 def _logged(g, log):

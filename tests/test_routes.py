@@ -196,3 +196,19 @@ def test_elliptic_meets_hyp_base_only_at_log_connection_points():
         if _connection_domain(1 / p, 1 / p, 0, xp) and z <= 0.99:
             log_points.add((p, x))
     assert met == log_points and len(met) == 17
+
+
+def test_route_cases_fail_a_point_where_fewer_than_two_classes_run(monkeypatch):
+    # M_p's elliptic route refuses x^p = 0.81 > 1/2, leaving hyp_quad alone
+    _, coords, bound, value, points = _QUANTITIES["M_p"]
+    routes = {r: means._MP_ROUTES[r] for r in ("hyp_quad", "elliptic")}
+    monkeypatch.setitem(_QUANTITIES, "M_p", (routes, coords, bound, value, points))
+    [case] = _route_cases("M_p", [(2.0, 0.9)])
+    assert case.name == "M_p fewer than two classes p=2.0 x=0.9"
+    assert not case.passed
+
+
+def test_route_cases_reraise_what_is_not_a_route_refusal():
+    # c_p = p / B(1/p, 1/p) overflows inside the integral route
+    with pytest.raises(ValueError, match="^c_p overflows at p = 0.0018"):
+        _route_cases("M_p", [(1.8e-3, 0.1)])

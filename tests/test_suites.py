@@ -46,12 +46,13 @@ def test_case_result_nan_counts_as_failure():
 
 
 def test_log_mean_cases_check_an_independent_route(monkeypatch):
-    # M_1, K_1 and K_0 return mean_log's closed form; each of their cases
-    # must notice when that closed form is 1e-9 off
+    # M_1 and K_1 return mean_log's closed form and K_0 the limit of K_p's
+    # ratio; each of their cases must notice when that closed form is 1e-9 off
     import pqelliptic.means as means
 
-    log_mean = means.mean_log
+    log_mean, kp_ratio = means.mean_log, means._kp_ratio
     monkeypatch.setattr(means, "mean_log", lambda a, b: log_mean(a, b) * (1.0 + 1e-9))
+    monkeypatch.setattr(means, "_kp_ratio", lambda p, lx: kp_ratio(p, lx) * (1.0 + 1e-9))
     prefixes = ("M1=L ", "K1=L ", "K0=x/L ", "p=1 ")
     checked = [
         c for name in ("means-bridge", "means-ordering")
