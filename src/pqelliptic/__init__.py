@@ -17,7 +17,6 @@ from .numerics import (
     integrate_singular,
     invert_monotone,
     log_gamma,
-    pochhammer,
 )
 
 __version__ = "0.1.0"
@@ -50,7 +49,6 @@ __all__ = [
     "moment_sin_pq",
     "ordering",
     "pi_pq",
-    "pochhammer",
     "sin_pq",
     "tan_pq",
 ]

@@ -274,6 +274,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
+        # argparse before Python 3.13 takes an option value of '--' as an empty list
+        for name, value in vars(ns).items():
+            if value == []:
+                raise _UsageError(f"--{name} expects one value, got '--'")
         if ns.command == "eval":
             return _cmd_eval(ns)
         if ns.command == "table":

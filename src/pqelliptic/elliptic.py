@@ -132,11 +132,30 @@ def _k_and_e(params: PQParams, m: float, mc: float) -> tuple[float, float]:
     return tuple(_complete(params, m, mc, "auto", e).value for e in (False, True))
 
 
+_DERIV_SERIES_MAX = 1e-3  # below this k^q the derivatives take _d_series
+
+
+def _d_series(params: PQParams, k: float, m: float, a: float) -> float:
+    """d/dk of (pi_pq/2) F(a, b; c; k^q), b = 1/q, c = 1/p* + 1/q, summed term
+    by term: (pi_pq/2) q k^(q-1) (ab/c) F(a+1, b+1; c+1; m), m = k^q.
+    k^(q-1) is the square of k^((q-1)/2), which stays in range for every
+    k >= 5e-324 and q > 0; a value outside the doubles raises ValueError."""
+    q, b = params.q, 1.0 / params.q
+    c = 1.0 / params.p_star + b
+    f = hyp2f1(HypSeriesSpec(a + 1.0, b + 1.0, c + 1.0, m)).value
+    h = k ** (0.5 * (q - 1.0))
+    value = 0.5 * pi_pq(params) * (q * b) * (a / c) * f * h * h
+    if not math.isfinite(value):
+        raise ValueError(f"the derivative leaves the double range at k = {k!r}")
+    return value
+
+
 def dK_dk(params: PQParams, k: float) -> float:
     """dK/dk = (E - (1 - k^q) K) / (k (1 - k^q)).
 
-    The closed form has k in the denominator; at k = 0 the limit is 0
-    provided q > 1, and the point is rejected otherwise.
+    It cancels to about k^q, so below k^q = 1e-3 ``_d_series`` with
+    a = 1/p* serves instead.  At k = 0 the limit is 0 provided q > 1, and
+    the point is rejected otherwise.
     """
     _check_modulus(k)
     if k == 0.0:
@@ -144,16 +163,23 @@ def dK_dk(params: PQParams, k: float) -> float:
             return 0.0
         raise ValueError("dK_dk at k = 0 requires q > 1")
     m, mc = _pow_pair(k, params.q)
+    if m < _DERIV_SERIES_MAX:
+        return _d_series(params, k, m, 1.0 / params.p_star)
     kv, ev = _k_and_e(params, m, mc)
     return (ev - mc * kv) / (k * mc)
 
 
 def dE_dk(params: PQParams, k: float) -> float:
-    """dE/dk = q (E - K) / (p k); negative on (0, 1) whenever p > 0."""
+    """dE/dk = q (E - K) / (p k); negative on (0, 1) whenever p > 0.  It
+    cancels to about k^q, so below k^q = 1e-3 ``_d_series`` with a = -1/p
+    serves instead."""
     _check_modulus(k)
     if k == 0.0:
         raise ValueError("dE_dk formula is singular at k = 0")
-    kv, ev = _k_and_e(params, *_pow_pair(k, params.q))
+    m, mc = _pow_pair(k, params.q)
+    if m < _DERIV_SERIES_MAX:
+        return _d_series(params, k, m, -1.0 / params.p)
+    kv, ev = _k_and_e(params, m, mc)
     return params.q * (ev - kv) / (params.p * k)
 
 

@@ -176,11 +176,6 @@ def _recip_kp_integral(xp: float, p: float) -> EvalResult:
     return integrate_singular(f, _INTEGRAL_TOL)
 
 
-def _hyp_base(a: float, b: float, z: float) -> EvalResult:
-    """F(a, b; 2a; z) by the direct series."""
-    return hyp2f1(HypSeriesSpec(a, b, 2.0 * a, z))
-
-
 def _quad_arg(z: float) -> float:
     """Argument (z/(2-z))^2 of the quadratically transformed series."""
     return (z / (2.0 - z)) ** 2
@@ -230,7 +225,9 @@ def _recip(
         return _scaled(-1.0 / b, hyp2f1(_ConnectionSpec(a, a, 0, xp)), rel)
     if route == "integral":
         return integral(xp, p)
-    return (_hyp_quad if route == "hyp_quad" else _hyp_base)(a, 1.0 / p, z)
+    if route == "hyp_quad":
+        return _hyp_quad(a, 1.0 / p, z)
+    return hyp2f1(HypSeriesSpec(a, 1.0 / p, 2.0 * a, z))
 
 
 def _mean_mp(a: float, b: float, p: float, method: str = "auto") -> EvalResult:
@@ -361,13 +358,12 @@ def ordering(a: float, b: float, p: float) -> MeanOrdering:
     For distinct arguments the verdict is strict: M_p wins for 0 <= p < 1,
     the two agree at p = 1, and K_p wins for p > 1.  Gaps within
     1e-12 * max(a, b) are reported as equal since both means are computed to
-    roughly that accuracy.
+    roughly that accuracy.  Both means return a exactly for a = b, so an
+    equal pair has gap 0 and the verdict equal.
     """
     _check_args(a, b, p, "ordering")
     if not p >= 0.0:
         raise ValueError(f"ordering requires p >= 0, got {p!r}")
-    if a == b:
-        return MeanOrdering("equal", p, a, b, 0.0)
     gap = mean_mp(a, b, p) - mean_kp(a, b, p)
     tol = 1e-12 * max(a, b)
     if gap > tol:

@@ -30,7 +30,6 @@ __all__ = [
     "integrate_singular",
     "invert_monotone",
     "log_gamma",
-    "pochhammer",
 ]
 
 # Hypergeometric arguments above this are considered too close to the
@@ -178,16 +177,6 @@ def digamma(x: float) -> float:
     return math.fsum(parts)
 
 
-def pochhammer(a: float, n: int) -> float:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1 exactly."""
-    if n != int(n) or n < 0:
-        raise ValueError(f"pochhammer requires a nonnegative integer n, got {n!r}")
-    out = 1.0
-    for i in range(int(n)):
-        out *= a + i
-    return out
-
-
 def _connection_domain(a: float, b: float, m: int, w: float) -> bool:
     """Whether F(a, b; a + b - m; 1 - w), m = 0 or 1, may be summed as a
     connection series in w: a and b positive, 0 < w <= 1/2, and no term ratio
@@ -255,14 +244,18 @@ def hyp2f1(spec: HypSeriesSpec | _ConnectionSpec) -> EvalResult:
     terms fall below rel_tol times the running partial sum; the second of
     them is dropped and its magnitude becomes the error estimate.
 
-    Every HypSeriesSpec, whose argument lies inside the unit disc, gives F.
-    A ``_ConnectionSpec`` gives instead the connection sum S_m of
-    ``_log_series``, whose gamma prefactors the caller applies; it passes
-    through here as one more call of this kernel.
+    Every HypSeriesSpec, whose argument lies inside the unit disc, gives F;
+    at argument 0 that is exactly 1, where (a + n)(b + n) may overflow.  A
+    sum that ends non-finite raises ValueError.  A ``_ConnectionSpec`` gives
+    instead the connection sum S_m of ``_log_series``, whose gamma
+    prefactors the caller applies; it passes through here as one more call
+    of this kernel.
     """
     if isinstance(spec, _ConnectionSpec):
         return _log_series(spec)
     a, b, c, x = spec.a, spec.b, spec.c, spec.arg
+    if x == 0.0:
+        return EvalResult(1.0, 0.0, "series")
     total = 1.0
     term = 1.0
     small = 0
@@ -271,6 +264,11 @@ def hyp2f1(spec: HypSeriesSpec | _ConnectionSpec) -> EvalResult:
         if not abs(term) > spec.rel_tol * abs(total):  # a NaN term stops the sum
             small += 1
             if small >= 2:
+                if not math.isfinite(total):
+                    raise ValueError(
+                        f"hypergeometric series sum is not finite: {total!r} "
+                        f"(a={a!r}, b={b!r}, c={c!r}, arg={x!r})"
+                    )
                 return EvalResult(total, abs(term), "series")
         else:
             small = 0

@@ -63,7 +63,6 @@ PUBLIC_PARAMETERS = {
     "moment_sin_pq": ("params", "n"),
     "ordering": ("a", "b", "p"),
     "pi_pq": ("params",),
-    "pochhammer": ("a", "n"),
     "sin_pq": ("params", "theta"),
     "tan_pq": ("params", "theta"),
 }

@@ -164,6 +164,46 @@ def test_dK_small_k_tends_to_zero():
     assert abs(dK_dk(par, 1e-4)) < 1e-3
 
 
+def _d_reference(mpmath, p, q, k, second_kind):
+    """d/dk (pi_pq/2) F(a, 1/q; 1/p* + 1/q; k^q) at 40 digits."""
+    with mpmath.workdps(40):
+        p, q, k = mpmath.mpf(p), mpmath.mpf(q), mpmath.mpf(k)
+        ips, b = 1 - 1 / p, 1 / q
+        a, c = (-1 / p if second_kind else ips), ips + b
+        half = mpmath.beta(ips, b) / q
+        return half * q * k ** (q - 1) * (a * b / c) * mpmath.hyp2f1(a + 1, b + 1, c + 1, k**q)
+
+
+@pytest.mark.parametrize("p, q", ((2, 2), (3, 2), (2, 3)))
+def test_derivatives_match_mpmath_down_to_tiny_k(p, q):
+    # E - (1 - k^q) K and E - K cancel to about k^q: at (2, 2), k = 1e-8,
+    # dK_dk gave 2.2e-8 against 7.9e-9 and dE_dk gave 0.0
+    mpmath = pytest.importorskip("mpmath")
+    par = PQParams(p, q)
+    lo, hi = math.log(1e-300), math.log(0.9)
+    for j in range(200):
+        k = math.exp(lo + (hi - lo) * j / 199)
+        for fn, second_kind in ((dK_dk, False), (dE_dk, True)):
+            ref = _d_reference(mpmath, p, q, k, second_kind)
+            err = abs(fn(par, k) - ref)
+            if abs(ref) >= sys.float_info.min:
+                assert err <= 1e-12 * abs(ref), (fn.__name__, k)
+            else:  # a few eps carried into the subnormals, and one spacing
+                bound = 4.0 * sys.float_info.epsilon * abs(ref) + math.ulp(0.0)
+                assert err <= bound, (fn.__name__, k)
+
+
+def test_derivatives_at_the_ends_of_the_double_range():
+    # the closed forms returned 0.0 at k = 1e-300 and +-inf at k = 5e-324,
+    # where the value 1.05e319 is past the largest double
+    par = PQParams(2, 0.5)
+    assert math.isclose(dK_dk(par, 1e-300), 16.0 / 3.0 * 1e149, rel_tol=1e-14)
+    assert math.isclose(dE_dk(par, 1e-300), -16.0 / 3.0 * 1e149, rel_tol=1e-14)
+    for fn in (dK_dk, dE_dk):
+        with pytest.raises(ValueError, match="double range"):
+            fn(PQParams(2, 0.01), 5e-324)
+
+
 # references from mpmath at 60 digits; 1 - k^q formed by subtraction is off by
 # up to 7.8e-4 relative at these points
 DK_NEAR_ONE = (

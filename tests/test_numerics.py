@@ -22,7 +22,6 @@ from pqelliptic.numerics import (
     integrate_singular,
     invert_monotone,
     log_gamma,
-    pochhammer,
 )
 
 
@@ -107,22 +106,6 @@ def test_beta_symmetry_and_domain():
             beta(*bad)
 
 
-# --------------------------------------------------------------- pochhammer
-
-
-def test_pochhammer_values():
-    assert pochhammer(3.0, 0) == 1.0
-    assert pochhammer(1.0, 4) == 24.0
-    assert pochhammer(0.5, 2) == 0.75
-    assert pochhammer(-1.0, 4) == 0.0  # hits the zero factor
-    assert pochhammer(-2.5, 3) == -2.5 * -1.5 * -0.5
-
-
-def test_pochhammer_rejects_negative_order():
-    with pytest.raises(ValueError):
-        pochhammer(1.0, -1)
-
-
 # ------------------------------------------------------------------- hyp2f1
 
 
@@ -189,16 +172,25 @@ def test_hyp2f1_nonconvergence(monkeypatch):
 
 
 def test_hyp2f1_stops_at_a_nan_term(monkeypatch):
-    # (a + n)(b + n) overflows and meets the zero argument: the first term is
-    # NaN, no NaN compares as small, and the sum ran 10^6 terms to raise
-    # ConvergenceError.  It now stops two terms later on the NaN sum
-    from pqelliptic.gentrig import PQParams, arcsin_pq
-
+    # (a + n)(b + n) overflows: the terms run to inf and then NaN, no NaN
+    # compares as small, and the sum ran 10^6 terms to raise
+    # ConvergenceError.  It stops two terms after the NaN and names the spec
     monkeypatch.setattr(numerics, "_MAX_TERMS", 10)
-    with pytest.raises(ValueError, match="^non-finite value nan"):
-        hyp2f1(HypSeriesSpec(1e300, -1e300, 1e300, 0.0))
-    with pytest.raises(ValueError, match="^non-finite value nan"):
-        arcsin_pq(PQParams(-1e-300, 1e-300), 1.0)
+    with pytest.raises(
+        ValueError, match=r"^hypergeometric series sum is not finite: nan "
+        r"\(a=1e\+300, b=-1e\+300, c=1e\+300, arg=1e-300\)$"
+    ):
+        hyp2f1(HypSeriesSpec(1e300, -1e300, 1e300, 1e-300))
+
+
+def test_hyp2f1_at_argument_zero_is_one_whatever_overflows():
+    # (a + n)(b + n) overflows and meets the zero argument in a NaN term;
+    # F is 1 there, and arcsin_pq(1) is pi_pq/2, 0.0 in doubles at this pair
+    from pqelliptic.gentrig import PQParams, arcsin_pq, pi_pq
+
+    assert hyp2f1(HypSeriesSpec(1e300, -1e300, 1e300, 0.0)) == EvalResult(1.0, 0.0, "series")
+    par = PQParams(-1e-300, 1e-300)
+    assert arcsin_pq(par, 1.0) == 0.5 * pi_pq(par) == 0.0
 
 
 def test_hyp_series_spec_validation():
