@@ -357,15 +357,16 @@ def ordering(a: float, b: float, p: float) -> MeanOrdering:
 
     For distinct arguments the verdict is strict: M_p wins for 0 <= p < 1,
     the two agree at p = 1, and K_p wins for p > 1.  Gaps within
-    1e-12 * max(a, b) are reported as equal since both means are computed to
-    roughly that accuracy.  Both means return a exactly for a = b, so an
-    equal pair has gap 0 and the verdict equal.
+    1e-12 * max(M_p, K_p) are reported as equal since both means are
+    computed to roughly that accuracy on their own scale.  Both means return
+    a exactly for a = b, so an equal pair has gap 0 and the verdict equal.
     """
     _check_args(a, b, p, "ordering")
     if not p >= 0.0:
         raise ValueError(f"ordering requires p >= 0, got {p!r}")
-    gap = mean_mp(a, b, p) - mean_kp(a, b, p)
-    tol = 1e-12 * max(a, b)
+    mp, kp = mean_mp(a, b, p), mean_kp(a, b, p)
+    gap = mp - kp
+    tol = 1e-12 * max(mp, kp)
     if gap > tol:
         verdict = "Mp_greater"
     elif gap < -tol:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -350,14 +351,20 @@ def _log_series(spec: _ConnectionSpec) -> EvalResult:
 # The weight has the closed form dt/du = pi cosh(u) t (1 - t).
 
 _UMAX = 6.56
+_TAIL = 2.0**-64  # a term below this share of the largest cannot move the sum
 _LEVEL_CAP = 12
 _MIN_LEVEL = 3
 
-# level -> list of (t, 1 - t, weight); filled lazily, deterministic, append-only
-_node_cache: dict[int, list[tuple[float, float, float]]] = {}
+_Run = tuple[list[float], list[tuple[float, float, float]]]
+
+# level -> the nodes new at that level as two runs, one per side of t = 1/2:
+# (us, nodes), nodes[i] = (t, 1 - t, weight) at u = us[i], in order of u.
+# Run 0 holds t >= 1/2 (level 0's starts with the centre u = 0), run 1 its
+# mirror t < 1/2.  Filled lazily, deterministic, append-only.
+_node_cache: dict[int, tuple[_Run, _Run]] = {}
 
 
-def _de_nodes(level: int) -> list[tuple[float, float, float]]:
+def _de_nodes(level: int) -> tuple[_Run, _Run]:
     """Nodes newly introduced at a refinement level (odd multiples of h)."""
     cached = _node_cache.get(level)
     if cached is not None:
@@ -365,7 +372,9 @@ def _de_nodes(level: int) -> list[tuple[float, float, float]]:
     h = 1.0 / (1 << level)
     top = int(_UMAX / h)
     ks = range(0, top + 1) if level == 0 else range(1, top + 1, 2)
-    nodes: list[tuple[float, float, float]] = []
+    us: list[float] = []
+    upper: list[tuple[float, float, float]] = []
+    lower: list[tuple[float, float, float]] = []
     for k in ks:
         u = k * h
         e = math.exp(-math.pi * math.sinh(u))
@@ -374,11 +383,13 @@ def _de_nodes(level: int) -> list[tuple[float, float, float]]:
         w = math.pi * math.cosh(u) * t * tc
         if tc <= 0.0 or w <= 0.0:
             break  # complement underflowed; all further nodes are dead
-        nodes.append((t, tc, w))
-        if k > 0:
-            nodes.append((tc, t, w))
-    _node_cache[level] = nodes
-    return nodes
+        us.append(u)
+        upper.append((t, tc, w))
+        lower.append((tc, t, w))
+    centre = 1 if level == 0 else 0  # the centre is one node, not a pair
+    runs = ((us, upper), (us[centre:], lower[centre:]))
+    _node_cache[level] = runs
+    return runs
 
 
 def integrate_singular(f: Callable[[float, float], float], tol: float = 1e-12) -> EvalResult:
@@ -387,12 +398,21 @@ def integrate_singular(f: Callable[[float, float], float], tol: float = 1e-12) -
     Handles algebraic endpoint singularities of exponent > -1.  The integrand
     takes each node t with its exact complement, which resolves the upper
     endpoint down to denormals as t itself does at 0 (doubles cannot hold a
-    t closer to 1 than about 1.1e-16); neither argument is ever 0.  The error
-    estimate is the last level-to-level difference, never less than
-    4 eps |value|; failure to meet ``tol`` within the level cap raises
-    ConvergenceError.  A non-finite integrand value, an ArithmeticError
-    (overflow, division by zero) raised by f, or a sum that overflows raises
-    ValueError.
+    t closer to 1 than about 1.1e-16); neither argument is ever 0.
+
+    Level 0 evaluates every node out to u = 6.56.  After each level, on each
+    side of t = 1/2, the outermost node whose term |w f| is at least
+    ``_TAIL`` = 2^-64 times the largest term so far marks that side's edge,
+    and the next level evaluates new nodes only up to the edge plus the
+    current step h.  The one assumption is that past its edge each tail of
+    |w f| only decays, which the algebraic endpoint behaviour above gives.
+
+    The error estimate is the last level-to-level difference, never less
+    than 4 eps |value| nor than the skipped nodes' bound, their count times
+    ``_TAIL`` times the largest term over 2^level; failure to meet ``tol``
+    within the level cap raises ConvergenceError.  A non-finite integrand
+    value, an ArithmeticError (overflow, division by zero) raised by f, or a
+    sum that overflows raises ValueError.
     """
     return _tanh_sinh(f, tol, lambda t, tc: f"t={t!r} (1 - t = {tc!r})")
 
@@ -403,24 +423,48 @@ def _tanh_sinh(f: Callable[[float, float], float], tol: float, where: Callable) 
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     terms: list[float] = []
+    edges = [0.0, 0.0]  # per side: u of the outermost significant term
+    step = math.inf  # the previous level's h; level 0 runs every node
+    peak = 0.0  # the largest |term| so far
+    skipped = 0  # nodes beyond the tail cut, each below _TAIL * peak
     prev = math.inf
     diff = math.inf
     for level in range(_LEVEL_CAP + 1):
-        for t, tc, w in _de_nodes(level):
-            try:
-                ft = f(t, tc)
-            except ArithmeticError:
-                ft = math.nan
-            if not math.isfinite(ft):
-                raise ValueError(f"integrand returned non-finite value near {where(t, tc)}")
-            terms.append(w * ft)
+        start = len(terms)
+        runs = []
+        for side, (us, nodes) in enumerate(_de_nodes(level)):
+            n = bisect_right(us, edges[side] + step)
+            skipped += len(us) - n
+            lo = len(terms)
+            for t, tc, w in nodes[:n]:
+                try:
+                    ft = f(t, tc)
+                except ArithmeticError:
+                    ft = math.nan
+                if not math.isfinite(ft):
+                    raise ValueError(f"integrand returned non-finite value near {where(t, tc)}")
+                terms.append(w * ft)
+            runs.append((us, lo, n))
+        new = terms[start:]
+        if new:
+            peak = max(peak, max(new), -min(new))
+        thr = _TAIL * peak
+        for side, (us, lo, n) in enumerate(runs):
+            # scan in from the outermost new node, down to the last edge
+            i = n - 1
+            while i >= 0 and us[i] > edges[side] and abs(terms[lo + i]) < thr:
+                i -= 1
+            if i >= 0:
+                edges[side] = max(edges[side], us[i])
+        step = 1.0 / (1 << level)
         try:
             value = math.fsum(terms) / (1 << level)
         except OverflowError:  # every term is finite, their sum is not
             raise ValueError("quadrature sum overflows the double range") from None
         diff = abs(value - prev)
         if level >= _MIN_LEVEL and diff <= tol:
-            return EvalResult(value, max(diff, _rounding_err(value)), "quadrature")
+            cut = skipped * thr / (1 << level)
+            return EvalResult(value, max(diff, _rounding_err(value), cut), "quadrature")
         prev = value
     raise ConvergenceError(
         f"quadrature did not reach tol={tol:g} within {_LEVEL_CAP} refinement "

@@ -4,10 +4,11 @@ monotone inversion."""
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 
-from pqelliptic import numerics
+from pqelliptic import elliptic, gentrig, means, numerics
 from pqelliptic.numerics import (
     ConvergenceError,
     EvalResult,
@@ -376,6 +377,68 @@ def test_halfline_failure_names_the_halfline_abscissa():
     with pytest.raises(ValueError, match="non-finite value near t=") as err:
         integrate_halfline(f, 1e-12)
     assert float(str(err.value).rsplit("t=", 1)[1]) >= 1e10
+
+
+# ------------------------------------------------------------ tail cut
+
+
+def _far_tail(t, tc):
+    # (1 - t^(1/20))^100: its mass sits at t of about 1e-40, far out in u
+    return numerics._one_minus_pow(t, tc, 0.05) ** 100
+
+
+def test_tail_cut_changes_no_bit(monkeypatch, mp_work_grid):
+    # with _TAIL = 0 every node counts as significant, so every node runs;
+    # the cut must leave every result, error estimate and exception text as
+    # it was, and run fewer integrand calls.  _mean_kp's integral raises at
+    # (p, x) = (0.2, 1e-300), (0.5, 1e-100) and (0.5, 1e-300) either way:
+    # 1/K_p is astronomically large there and the tolerance is absolute
+    evals = [0]
+    body = numerics._tanh_sinh
+
+    def counted(f, tol, where):
+        def g(t, tc):
+            evals[0] += 1
+            return f(t, tc)
+
+        return body(g, tol, where)
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except (ValueError, ConvergenceError) as e:
+            return type(e).__name__, str(e)
+
+    def run():
+        evals[0] = 0
+        out = [
+            outcome(fn, 1.0, x, p, "integral")
+            for p, x in mp_work_grid
+            for fn in (means._mean_mp, means._mean_kp)
+        ]
+        means_evals = evals[0]
+        for p, q in ((2.0, 2.0), (3.0, 2.0), (2.0, 3.0), (1.5, 4.0)):
+            for j in range(1, 13):
+                k = (1.0 - 10.0**-j) ** (1.0 / q)
+                for fn in (elliptic.K_pq, elliptic.E_pq):
+                    out.append(outcome(fn, gentrig.PQParams(p, q), k, "quadrature"))
+        for p, q in ((-0.01, 0.05), (3.0, 2.0)):
+            for x in (0.1, 0.5, 0.9, 0.999999, 1.0):
+                out.append(outcome(gentrig._arcsin, gentrig.PQParams(p, q), x, "quadrature"))
+        out.append(integrate_halfline(lambda t: (1.0 + t) ** -2.0, 1e-12))
+        out.append(integrate_singular(_far_tail, 1e-34))
+        return out, means_evals
+
+    monkeypatch.setattr(numerics, "_tanh_sinh", counted)
+    cut, cut_evals = run()
+    monkeypatch.setattr(numerics, "_TAIL", 0.0)
+    full, full_evals = run()
+    assert cut == full
+    assert sum(isinstance(r, tuple) for r in cut) == 3
+    assert cut_evals < full_evals, (cut_evals, full_evals)
+    # integral_0^1 (1 - t^(1/20))^100 dt = 20 B(20, 101)
+    exact = 20 * Fraction(math.factorial(19) * math.factorial(100), math.factorial(120))
+    assert abs(cut[-1].value / float(exact) - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------- invert_monotone
