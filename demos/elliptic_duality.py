@@ -1,10 +1,11 @@
-"""Complete (p, q)-elliptic integrals: two routes to every value.
+"""Complete (p, q)-elliptic integrals: independent routes to every value.
 
-K_pq and E_pq are computed both as hypergeometric series in k^q and as
-tanh-sinh quadratures of the defining integrals; the two agree to ~1e-13 and
-serve as mutual checks.  The pair satisfies a first-order system in k, and
-the (p, q) / (q, p) integrals are tied together by a Legendre-type product
-relation whose residual this script tabulates.
+K_pq and E_pq each have three routes: a hypergeometric series in k^q, its
+logarithmic connection series in 1 - k^q, and a tanh-sinh quadrature of the
+defining integral.  This script compares the series with the quadrature,
+which agree to ~1e-13 and serve as mutual checks.  The pair satisfies a
+first-order system in k, and the (p, q) / (q, p) integrals are tied together
+by a Legendre-type product relation whose residual this script tabulates.
 
 Run:  python demos/elliptic_duality.py
 """

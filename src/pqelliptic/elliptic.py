@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .gentrig import PQParams, _pi_pq_rel, pi_pq
+from .gentrig import PQParams, _pi_pq_rel, _slope, pi_pq
 from .numerics import (
     SERIES_ARG_MAX,
     EvalResult,
@@ -139,11 +139,13 @@ def _d_series(params: PQParams, k: float, m: float, a: float) -> float:
     """d/dk of (pi_pq/2) F(a, b; c; k^q), b = 1/q, c = 1/p* + 1/q, summed term
     by term: (pi_pq/2) q k^(q-1) (ab/c) F(a+1, b+1; c+1; m), m = k^q.
     k^(q-1) is the square of k^((q-1)/2), which stays in range for every
-    k >= 5e-324 and q > 0; a value outside the doubles raises ValueError."""
+    k >= 5e-324 and q > 0.  At k = 0 (m = 0, F = 1) the value is the limit:
+    0 for q > 1 and (pi_pq/2)(a/c) for q = 1.  A value outside the doubles,
+    k = 0 with q < 1 included, raises ValueError."""
     q, b = params.q, 1.0 / params.q
     c = 1.0 / params.p_star + b
     f = hyp2f1(HypSeriesSpec(a + 1.0, b + 1.0, c + 1.0, m)).value
-    h = k ** (0.5 * (q - 1.0))
+    h = _slope(k, 0.5 * (q - 1.0))
     value = 0.5 * pi_pq(params) * (q * b) * (a / c) * f * h * h
     if not math.isfinite(value):
         raise ValueError(f"the derivative leaves the double range at k = {k!r}")
@@ -154,14 +156,10 @@ def dK_dk(params: PQParams, k: float) -> float:
     """dK/dk = (E - (1 - k^q) K) / (k (1 - k^q)).
 
     It cancels to about k^q, so below k^q = 1e-3 ``_d_series`` with
-    a = 1/p* serves instead.  At k = 0 the limit is 0 provided q > 1, and
-    the point is rejected otherwise.
+    a = 1/p* serves instead, k = 0 included: there the value is 0 for q > 1
+    and (pi_pq/2) / (1 + p*) for q = 1, and q < 1 raises ValueError.
     """
     _check_modulus(k)
-    if k == 0.0:
-        if params.q > 1.0:
-            return 0.0
-        raise ValueError("dK_dk at k = 0 requires q > 1")
     m, mc = _pow_pair(k, params.q)
     if m < _DERIV_SERIES_MAX:
         return _d_series(params, k, m, 1.0 / params.p_star)
@@ -172,10 +170,9 @@ def dK_dk(params: PQParams, k: float) -> float:
 def dE_dk(params: PQParams, k: float) -> float:
     """dE/dk = q (E - K) / (p k); negative on (0, 1) whenever p > 0.  It
     cancels to about k^q, so below k^q = 1e-3 ``_d_series`` with a = -1/p
-    serves instead."""
+    serves instead, k = 0 included: there the value is 0 for q > 1 and
+    -(pi_pq/2) / (2p - 1) for q = 1, and q < 1 raises ValueError."""
     _check_modulus(k)
-    if k == 0.0:
-        raise ValueError("dE_dk formula is singular at k = 0")
     m, mc = _pow_pair(k, params.q)
     if m < _DERIV_SERIES_MAX:
         return _d_series(params, k, m, -1.0 / params.p)

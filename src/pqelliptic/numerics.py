@@ -17,6 +17,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Literal
 
 __all__ = [
@@ -350,7 +351,6 @@ def _log_series(spec: _ConnectionSpec) -> EvalResult:
 # that keeps full relative precision in both t and its complement 1 - t.
 # The weight has the closed form dt/du = pi cosh(u) t (1 - t).
 
-_UMAX = 6.56
 _TAIL = 2.0**-64  # a term below this share of the largest cannot move the sum
 _LEVEL_CAP = 12
 _MIN_LEVEL = 3
@@ -365,13 +365,13 @@ _node_cache: dict[int, tuple[_Run, _Run]] = {}
 
 
 def _de_nodes(level: int) -> tuple[_Run, _Run]:
-    """Nodes newly introduced at a refinement level (odd multiples of h)."""
+    """Nodes newly introduced at a refinement level (odd multiples of h), up
+    to the first whose 1 - t underflows."""
     cached = _node_cache.get(level)
     if cached is not None:
         return cached
     h = 1.0 / (1 << level)
-    top = int(_UMAX / h)
-    ks = range(0, top + 1) if level == 0 else range(1, top + 1, 2)
+    ks = count() if level == 0 else count(1, 2)
     us: list[float] = []
     upper: list[tuple[float, float, float]] = []
     lower: list[tuple[float, float, float]] = []
@@ -400,8 +400,9 @@ def integrate_singular(f: Callable[[float, float], float], tol: float = 1e-12) -
     endpoint down to denormals as t itself does at 0 (doubles cannot hold a
     t closer to 1 than about 1.1e-16); neither argument is ever 0.
 
-    Level 0 evaluates every node out to u = 6.56.  After each level, on each
-    side of t = 1/2, the outermost node whose term |w f| is at least
+    Every level's nodes end before the first whose 1 - t underflows, near
+    u = 6.16; level 0 evaluates all of them, out to u = 6.  After each level,
+    on each side of t = 1/2, the outermost node whose term |w f| is at least
     ``_TAIL`` = 2^-64 times the largest term so far marks that side's edge,
     and the next level evaluates new nodes only up to the edge plus the
     current step h.  The one assumption is that past its edge each tail of

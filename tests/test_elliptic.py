@@ -148,12 +148,11 @@ def test_dK_limit_at_zero():
     assert dK_dk(PQParams(2, 2), 0.0) == 0.0
     assert dK_dk(PQParams(-2, 3), 0.0) == 0.0
     with pytest.raises(ValueError):
-        dK_dk(PQParams(2, 0.5), 0.0)  # q <= 1: the limit is not defined
+        dK_dk(PQParams(2, 0.5), 0.0)  # q < 1: the derivative is infinite
 
 
-def test_dE_rejects_zero_and_is_negative():
-    with pytest.raises(ValueError):
-        dE_dk(PQParams(2, 2), 0.0)
+def test_dE_limit_at_zero_and_is_negative():
+    assert dE_dk(PQParams(2, 2), 0.0) == 0.0
     for par in (PQParams(2, 2), PQParams(2, 3)):
         for i in range(1, 10):
             assert dE_dk(par, i / 10.0) < 0.0
@@ -162,6 +161,34 @@ def test_dE_rejects_zero_and_is_negative():
 def test_dK_small_k_tends_to_zero():
     par = PQParams(2, 2)
     assert abs(dK_dk(par, 1e-4)) < 1e-3
+
+
+@pytest.mark.parametrize("p, q", ((2, 2), (3, 2), (2, 3), (1.5, 4), (-2, 2), (3, 1.001)))
+def test_derivatives_vanish_at_zero_for_q_above_one(p, q):
+    for fn in (dK_dk, dE_dk):
+        assert fn(PQParams(p, q), 0.0) == 0.0, fn.__name__
+
+
+@pytest.mark.parametrize("p", (3, 2, -2, 1.5))
+def test_derivatives_at_zero_for_q_one_match_mpmath(p):
+    # d/dk (pi_p1/2) F(a, 1; c; k) at k = 0 is (pi_p1/2) a/c, c = 1/p* + 1
+    mpmath = pytest.importorskip("mpmath")
+    par = PQParams(p, 1)
+    with mpmath.workdps(30):
+        ips = 1 - 1 / mpmath.mpf(p)
+        half = mpmath.beta(ips, 1)
+        for fn, a in ((dK_dk, ips), (dE_dk, -1 / mpmath.mpf(p))):
+            ref = half * a / (ips + 1)
+            assert abs(fn(par, 0.0) / ref - 1) <= 1e-15, (fn.__name__, p)
+
+
+@pytest.mark.parametrize("p, q", ((2, 0.5), (3, 0.999), (-2, 0.05), (1.5, 1e-3)))
+def test_derivatives_at_zero_for_q_below_one_raise_value_error(p, q):
+    # the derivative is infinite there; 0.0 to a negative power must not
+    # escape as ZeroDivisionError
+    for fn in (dK_dk, dE_dk):
+        with pytest.raises(ValueError, match="double range"):
+            fn(PQParams(p, q), 0.0)
 
 
 def _d_reference(mpmath, p, q, k, second_kind):

@@ -60,3 +60,32 @@ def test_log_mean_cases_check_an_independent_route(monkeypatch):
     ]
     assert len(checked) == 22
     assert not any(c.passed for c in checked)
+
+
+def test_derivative_cases_check_the_series(monkeypatch):
+    # each case compares a closed form with elliptic._d_series; every one of
+    # them must notice when that series is 1e-9 off
+    import pqelliptic.elliptic as elliptic
+
+    d_series = elliptic._d_series
+    monkeypatch.setattr(
+        elliptic, "_d_series", lambda *args: d_series(*args) * (1.0 + 1e-9)
+    )
+    cases = run_suite("derivatives")[1]
+    assert len(cases) == CASE_COUNTS["derivatives"]
+    assert not any(c.passed for c in cases)
+
+
+def test_derivative_cases_run_the_closed_forms(monkeypatch):
+    # the grid keeps k^q at or above the series switch, so every case forms
+    # (K, E) once for its closed form
+    import pqelliptic.elliptic as elliptic
+
+    k_and_e, calls = elliptic._k_and_e, []
+
+    def counted(*args):
+        calls.append(args)
+        return k_and_e(*args)
+
+    monkeypatch.setattr(elliptic, "_k_and_e", counted)
+    assert len(run_suite("derivatives")[1]) == len(calls) == CASE_COUNTS["derivatives"]
