@@ -12,8 +12,7 @@ import argparse
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Collection, TextIO
+from collections.abc import Callable, Collection
 
 from .elliptic import E_pq, K_pq
 from .gentrig import PQParams, _pi_pq_rel, _sin_pq
@@ -31,30 +30,19 @@ class _UsageError(Exception):
     """Bad invocation that argparse itself cannot catch (exit code 2)."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Affine grid start:stop:count, inclusive of both endpoints."""
-
-    start: float
-    stop: float
-    count: int
-
-    def __post_init__(self) -> None:
-        if not self.start < self.stop:
-            raise _UsageError(f"grid needs start < stop, got {self.start}:{self.stop}")
-        if self.count < 2:
-            raise _UsageError(f"grid needs count >= 2, got {self.count}")
-
-    def points(self) -> list[float]:
-        """numpy.linspace's formula: start + i*step, the last point pinned to stop."""
-        div = self.count - 1
-        delta = self.stop - self.start
-        step = delta / div
-        if step == 0.0:  # the step underflows; scale the fraction i/div instead
-            pts = [self.start + i / div * delta for i in range(div)]
-        else:
-            pts = [self.start + i * step for i in range(div)]
-        return pts + [self.stop]
+def _grid(start: float, stop: float, count: int) -> list[float]:
+    """The grid start:stop:count, inclusive of both ends, by numpy.linspace's
+    formula: start + i*step, the last point pinned to stop."""
+    if not start < stop:
+        raise _UsageError(f"grid needs start < stop, got {start}:{stop}")
+    if count < 2:
+        raise _UsageError(f"grid needs count >= 2, got {count}")
+    div = count - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:  # the step underflows; scale the fraction i/div instead
+        return [start + i / div * delta for i in range(div)] + [stop]
+    return [start + i * step for i in range(div)] + [stop]
 
 
 def _need(args: dict, names: tuple[str, ...], fn: str) -> list[float]:
@@ -137,7 +125,7 @@ def _lookup(ns: argparse.Namespace, known: Collection[str], unknown: str) -> str
     return name
 
 
-def _parse_axis(flag: str, text: str) -> float | GridSpec:
+def _parse_axis(flag: str, text: str) -> float | list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -149,7 +137,7 @@ def _parse_axis(flag: str, text: str) -> float | GridSpec:
             raise _UsageError(f"--{flag}: cannot parse grid {text!r}") from None
         if not math.isfinite(stop - start):
             raise _UsageError(f"--{flag}: grid span {text!r} is not finite")
-        return GridSpec(start, stop, count)
+        return _grid(start, stop, count)
     try:
         return float(text)
     except ValueError:
@@ -172,8 +160,8 @@ def _cmd_table(ns: argparse.Namespace) -> int:
         if text is None:
             continue
         parsed = _parse_axis(flag, text)
-        if isinstance(parsed, GridSpec):
-            axes.append((flag, parsed.points()))
+        if isinstance(parsed, list):
+            axes.append((flag, parsed))
         else:
             fixed[flag] = parsed
     if not axes:
@@ -202,7 +190,7 @@ def _cmd_table(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(ns: argparse.Namespace, err: TextIO) -> int:
+def _cmd_verify(ns: argparse.Namespace) -> int:
     if ns.suite == "all":
         names = SUITE_NAMES
     elif ns.suite in SUITE_NAMES:
@@ -218,19 +206,19 @@ def _cmd_verify(ns: argparse.Namespace, err: TextIO) -> int:
             for c in cases:
                 mark = "ok  " if c.passed else "FAIL"
                 print(f"  {mark} {name}: {c.name}  residual={c.residual:.3e} "
-                      f"(bound {c.bound:.1e})", file=err)
+                      f"(bound {c.bound:.1e})", file=sys.stderr)
         status = "PASS" if report.passed else "FAIL"
         print(
             f"{status} {report.suite}: {report.cases} cases, "
             f"{report.failures} failures, max residual {report.max_residual:.3e}, "
             f"{report.elapsed:.2f} s",
-            file=err,
+            file=sys.stderr,
         )
         if not report.passed:
             all_passed = False
             for c in [c for c in cases if not c.passed][:10]:
                 print(f"  failing: {c.name}  residual={c.residual:.3e} "
-                      f"(bound {c.bound:.1e})", file=err)
+                      f"(bound {c.bound:.1e})", file=sys.stderr)
     return 0 if all_passed else 1
 
 
@@ -282,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_eval(ns)
         if ns.command == "table":
             return _cmd_table(ns)
-        return _cmd_verify(ns, sys.stderr)
+        return _cmd_verify(ns)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 from .elliptic import K_pq  # unused: perfbench's tracer replaces means.K_pq
 from .numerics import (

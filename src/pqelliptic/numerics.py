@@ -3,12 +3,11 @@
 Gamma/beta/digamma helpers, the Gauss hypergeometric series and its
 connection series in 1 - z, double-exponential (tanh-sinh) quadrature for
 integrands with algebraic endpoint singularities, bracketed inversion of
-monotone functions (Newton steps with the caller's slope, or else the
-chord slope, bisection as the safeguard), and the three
-compositions (``_scaled``, ``_shifted``, ``_over``) by which a route turns
-a kernel's result into its own, error included.  Everything is a pure
-function of its arguments; the only module state is an idempotent cache of
-quadrature nodes.
+monotone functions (Newton steps with the caller's slope, bisection as the
+safeguard), and the three compositions (``_scaled``, ``_shifted``,
+``_over``) by which a route turns a kernel's result into its own, error
+included.  Everything is a pure function of its arguments; the only module
+state is an idempotent cache of quadrature nodes.
 """
 
 from __future__ import annotations
@@ -16,9 +15,9 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Literal
 
 __all__ = [
     "ConvergenceError",
@@ -48,7 +47,8 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class EvalResult:
-    """A computed value with an absolute-error estimate and the method used.
+    """A computed value with an absolute-error estimate and the method used,
+    one of "series", "quadrature" and "closed_form".
 
     Values are always finite; routines report divergence as an error instead
     of returning an infinity.
@@ -56,7 +56,7 @@ class EvalResult:
 
     value: float
     abs_err: float
-    method: Literal["series", "quadrature", "closed_form"]
+    method: str
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
@@ -329,9 +329,9 @@ def _log_series(spec: _ConnectionSpec) -> EvalResult:
         # Past n the factors (a + j)/(j + 1) and (b + j)/(j + m + 1) move
         # monotonically towards 1, so r bounds every later coefficient ratio,
         # and every later bracket lies within `stray` of log w.
+        # r < 1: with A = max(a, 1), B = max(b/(m+1), 1), r <= (A+1)/2 (2B+1)/3 w, and
+        # _connection_domain's ABw <= 1, w <= 1/2 give 6r <= 2 + Aw + 2Bw + w <= 11/2
         r = max((a + n + 1) / (n + 2), 1.0) * max((b + n + 1) / (n + m + 2), 1.0) * w
-        if r >= 1.0:
-            continue
         stray = da / (ya + n + 1) + db / (yb + n + 1)
         tail = cw * (size_w + stray) / (1.0 - r)
         if tail <= _LOG_SERIES_TOL * abs(total):
@@ -517,7 +517,7 @@ def _pow_pair(x: float, q: float) -> tuple[float, float]:
 
 
 def invert_monotone(
-    g: Callable[[float], float | tuple[float, float]],
+    g: Callable[[float], tuple[float, float]],
     target: float,
     lo: float,
     hi: float,
@@ -525,25 +525,20 @@ def invert_monotone(
 ) -> float:
     """Solve g(x) = target for a continuous increasing g on [lo, hi].
 
-    ``g`` returns g(x), or the pair (g(x), g'(x)).  The kernel takes Newton
-    steps, the first from the bracket end with the smaller residual and each
-    later one from the latest point, with the slope g returns, or else the
-    chord slope through the last two points (the first through both ends).
-    A step that rounds back onto a bracket end moves one ulp inside it
-    instead, so a root closer than an ulp costs one evaluation, not a
-    bisection of the whole bracket.  Whenever a step leaves the open
-    bracket, or a slope is not positive and finite, the bisection midpoint
-    is used instead, which keeps the iteration deterministic.  Returns x
-    with |g(x) - target| <= tol.
+    ``g`` returns the pair (g(x), g'(x)).  The kernel takes Newton steps
+    with that slope, the first from the bracket end with the smaller
+    residual and each later one from the latest point.  A step that rounds
+    back onto a bracket end moves one ulp inside it instead, so a root
+    closer than an ulp costs one evaluation, not a bisection of the whole
+    bracket.  Whenever a step leaves the open bracket, or a slope is not
+    positive and finite, the bisection midpoint is used instead, which
+    keeps the iteration deterministic.  Returns x with |g(x) - target| <= tol.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    glo, ghi = g(lo), g(hi)
-    newton = isinstance(glo, tuple)
-    if newton:
-        (glo, dlo), (ghi, dhi) = glo, ghi
+    (glo, dlo), (ghi, dhi) = g(lo), g(hi)
     rlo, rhi = glo - target, ghi - target
     if rlo > 0.0 or rhi < 0.0:
         raise ValueError(
@@ -554,8 +549,6 @@ def invert_monotone(
         return lo
     if abs(rhi) <= tol:
         return hi
-    if not newton:
-        dlo = dhi = (rhi - rlo) / (hi - lo)
     x1, r1, d1 = (lo, rlo, dlo) if -rlo <= rhi else (hi, rhi, dhi)
     best_r = math.inf
     for _ in range(_INVERT_MAX_ITER):
@@ -564,9 +557,7 @@ def invert_monotone(
             x = math.nextafter(x, hi if x == lo else lo)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-        y = g(x)
-        if newton:
-            y, d = y
+        y, d = g(x)
         r = y - target
         if abs(r) <= tol:
             return x
@@ -575,8 +566,6 @@ def invert_monotone(
             lo = x
         else:
             hi = x
-        if not newton:
-            d = (r - r1) / (x - x1)
         x1, r1, d1 = x, r, d
         if hi - lo <= 2.0 * math.ulp(max(abs(lo), abs(hi))):
             break  # bracket exhausted at double resolution

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
 
 from . import elliptic, gentrig, means
 from .elliptic import E_pq, K_pq, dE_dk, dK_dk, legendre_residual, moment_sin_pq

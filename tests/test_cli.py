@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from pqelliptic import cli, suites
-from pqelliptic.cli import GridSpec, main
+from pqelliptic.cli import _grid, main
 from pqelliptic.elliptic import E_pq
 from pqelliptic.gentrig import PQParams, pi_pq
 from pqelliptic.suites import SUITE_NAMES, CaseResult
@@ -312,7 +312,7 @@ def test_grid_points_match_numpy_linspace():
     for start, stop, count in grids:
         with np.errstate(all="ignore"):
             want = [repr(float(v)) for v in np.linspace(start, stop, count)]
-        assert [repr(v) for v in GridSpec(start, stop, count).points()] == want, (start, stop)
+        assert [repr(v) for v in _grid(start, stop, count)] == want, (start, stop)
 
 
 def test_table_usage_errors(capsys):
@@ -417,3 +417,17 @@ def test_verify_help_lists_every_suite(capsys):
     out = capsys.readouterr().out
     for name in SUITE_NAMES:
         assert f"\n  {name} " in out, name
+
+
+# ------------------------------------------------------------------- import
+
+
+def test_cli_imports_no_typing():
+    # -S leaves out site, which imports typing on some hosts by itself
+    code = "import sys, pqelliptic.cli; print('typing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -4,6 +4,7 @@ monotone inversion."""
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -274,6 +275,38 @@ def test_connection_spec_validation():
         assert not _connection_domain(a, b, order, w)
 
 
+def _ratio_bound_points(rng, count):
+    """Seeded points of ``_connection_domain``: m in {0, 1}, a and b
+    log-uniform in [1e-6, 1e6], a third of them on the edge A B w = 1."""
+    points = []
+    while len(points) < count:
+        m = rng.randint(0, 1)
+        a, b = 10.0 ** rng.uniform(-6.0, 6.0), 10.0 ** rng.uniform(-6.0, 6.0)
+        edge = min(0.5, 1.0 / (max(a, 1.0) * max(b / (m + 1), 1.0)))
+        w = edge if len(points) % 3 == 0 else edge * rng.random()
+        while w > 0.0 and not _connection_domain(a, b, m, w):
+            w = math.nextafter(w, 0.0)  # the edge's rounding may land just outside
+        if w > 0.0:
+            points.append((a, b, m, w))
+    return points
+
+
+def test_log_series_ratio_bound_stays_below_one():
+    # _log_series's tail bound divides by 1 - r, with r the bound on every
+    # later coefficient ratio; inside _connection_domain r <= 11/12
+    rng = random.Random(26)
+    for a, b, m, w in _ratio_bound_points(rng, 20_000):
+        for n in (0, 1, 2, 5, 50, 10_000):
+            r = max((a + n + 1) / (n + 2), 1.0) * max((b + n + 1) / (n + m + 2), 1.0) * w
+            assert r <= 11.0 / 12.0, (a, b, m, w, n)
+
+
+def test_log_series_that_does_not_settle_raises(monkeypatch):
+    monkeypatch.setattr(numerics, "_MAX_TERMS", 2)
+    with pytest.raises(ConvergenceError, match="connection series did not settle"):
+        hyp2f1(_ConnectionSpec(0.5, 0.5, 0, 0.3))
+
+
 # ------------------------------------------------------- singular quadrature
 
 
@@ -445,28 +478,30 @@ def test_tail_cut_changes_no_bit(monkeypatch, mp_work_grid):
 
 
 def test_invert_identity_cube_arcsin():
-    assert abs(invert_monotone(lambda x: x, 0.3, 0.0, 1.0, 1e-12) - 0.3) <= 1e-11
-    assert abs(invert_monotone(lambda x: x**3, 0.008, 0.0, 1.0, 1e-12) - 0.2) <= 1e-10
-    got = invert_monotone(math.asin, math.pi / 6.0, 0.0, 1.0, 1e-12)
+    assert abs(invert_monotone(lambda x: (x, 1.0), 0.3, 0.0, 1.0, 1e-12) - 0.3) <= 1e-11
+    cube = lambda x: (x**3, 3.0 * x * x)
+    assert abs(invert_monotone(cube, 0.008, 0.0, 1.0, 1e-12) - 0.2) <= 1e-10
+    asin = lambda x: (math.asin(x), 1.0 / math.sqrt(1.0 - x * x) if x < 1.0 else math.inf)
+    got = invert_monotone(asin, math.pi / 6.0, 0.0, 1.0, 1e-12)
     assert abs(got - 0.5) <= 1e-11
 
 
 def test_invert_roundtrip_grid():
     tol = 1e-12
-    g = lambda x: x**3 + x  # slope >= 1 everywhere
+    g = lambda x: (x**3 + x, 3.0 * x * x + 1.0)  # slope >= 1 everywhere
     for i in range(50):
         x = 0.02 + (2.0 - 0.02) * i / 49.0
-        back = invert_monotone(g, g(x), 0.0, 2.5, tol)
+        back = invert_monotone(g, g(x)[0], 0.0, 2.5, tol)
         assert abs(back - x) <= 10.0 * tol
 
 
 def test_invert_endpoints_and_bracket_error():
-    assert invert_monotone(lambda x: x, 0.0, 0.0, 1.0, 1e-12) == 0.0
-    assert invert_monotone(lambda x: x, 1.0, 0.0, 1.0, 1e-12) == 1.0
+    assert invert_monotone(lambda x: (x, 1.0), 0.0, 0.0, 1.0, 1e-12) == 0.0
+    assert invert_monotone(lambda x: (x, 1.0), 1.0, 0.0, 1.0, 1e-12) == 1.0
     with pytest.raises(ValueError):
-        invert_monotone(lambda x: x, 2.0, 0.0, 1.0, 1e-12)
+        invert_monotone(lambda x: (x, 1.0), 2.0, 0.0, 1.0, 1e-12)
     with pytest.raises(ValueError):
-        invert_monotone(lambda x: x, -0.1, 0.0, 1.0, 1e-12)
+        invert_monotone(lambda x: (x, 1.0), -0.1, 0.0, 1.0, 1e-12)
 
 
 def test_invert_rejects_an_empty_bracket_and_bad_tol():
