@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import sys
 from collections.abc import Callable, Collection
 
@@ -74,7 +75,7 @@ _FNS: dict[str, tuple[Callable[..., EvalResult], tuple[str, ...], tuple[str, ...
     "Mp": (_mean_mp, ("a", "b", "p"), ("method",)),
     "Kp": (_mean_kp, ("a", "b", "p"), ("method",)),
     "hyp2f1": (
-        lambda a, b, c, x, tol=HypSeriesSpec.rel_tol: hyp2f1(HypSeriesSpec(a, b, c, x, tol)),
+        lambda a, b, c, x, **tol: hyp2f1(HypSeriesSpec(a, b, c, x, *tol.values())),
         ("a", "b", "c", "x"), ("tol",),
     ),
 }
@@ -266,16 +267,19 @@ def main(argv: list[str] | None = None) -> int:
         for name, value in vars(ns).items():
             if value == []:
                 raise _UsageError(f"--{name} expects one value, got '--'")
-        if ns.command == "eval":
-            return _cmd_eval(ns)
-        if ns.command == "table":
-            return _cmd_table(ns)
-        return _cmd_verify(ns)
+        status = {"eval": _cmd_eval, "table": _cmd_table, "verify": _cmd_verify}[ns.command](ns)
+        sys.stdout.flush()  # a failed write to stdout raises here at the latest
+        return status
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        with open(os.devnull, "w") as devnull:  # the unwritten output goes there at exit
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
 
 

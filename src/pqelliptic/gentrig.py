@@ -12,7 +12,7 @@ classical functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .numerics import (
     EvalResult,
@@ -36,28 +36,28 @@ _ARCSIN_TOL = 1e-13  # tolerance of arcsin_pq's quadrature route
 _SIN_TOL = 1e-12  # sin_pq's residual in theta, relative below theta = 1; see _theta_tol
 
 
-@dataclass(frozen=True)
-class PQParams:
-    """A validated exponent pair (p, q) with its cached conjugate p* = p/(p-1)."""
+class PQParams(namedtuple("PQParams", "p q p_star")):
+    """A validated exponent pair (p, q) with its cached conjugate p* = p/(p-1),
+    a named tuple built from (p, q) alone: ``_replace`` recomputes p*."""
 
-    p: float
-    q: float
-    p_star: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        p, q = self.p, self.q
+    def __new__(cls, p: float, q: float) -> PQParams:
         if not (math.isfinite(p) and math.isfinite(q)):
             raise ValueError(f"p and q must be finite, got ({p!r}, {q!r})")
         if p == 0.0 or p == 1.0:
             raise ValueError("p must differ from 0 and 1 (conjugate undefined)")
         p_star = p / (p - 1.0)
         if p_star <= 0.0:
-            raise ValueError(
-                f"conjugate p* = {p_star:g} must be positive (need p > 1 or p < 0)"
-            )
+            raise ValueError(f"conjugate p* = {p_star:g} must be positive (need p > 1 or p < 0)")
         if q <= 0.0:
             raise ValueError(f"q must be positive, got {q!r}")
-        object.__setattr__(self, "p_star", p_star)
+        return tuple.__new__(cls, (p, q, p_star))
+
+    def __getnewargs__(self) -> tuple[float, float]:
+        return self.p, self.q
+
+    _make = classmethod(lambda cls, fields: cls(*tuple(fields)[:2]))
 
 
 def pi_pq(params: PQParams) -> float:

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
 
 from .elliptic import K_pq  # unused: perfbench's tracer replaces means.K_pq
@@ -341,15 +341,11 @@ def mean_kp(a: float, b: float, p: float, method: str = "closed") -> float:
     return _mean_kp(a, b, p, method).value
 
 
-@dataclass(frozen=True)
-class MeanOrdering:
-    """Sign verdict for M_p versus K_p on one pair, with the raw gap M_p - K_p."""
+class MeanOrdering(namedtuple("MeanOrdering", "verdict p a b gap")):
+    """Sign verdict "Mp_greater", "equal" or "Kp_greater" for M_p versus K_p on
+    one pair, with the raw gap M_p - K_p."""
 
-    verdict: str  # "Mp_greater" | "equal" | "Kp_greater"
-    p: float
-    a: float
-    b: float
-    gap: float
+    __slots__ = ()
 
 
 def ordering(a: float, b: float, p: float) -> MeanOrdering:

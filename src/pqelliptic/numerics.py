@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 from itertools import count
 
 __all__ = [
@@ -45,24 +45,24 @@ class ConvergenceError(RuntimeError):
     """A series or quadrature failed to reach the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(namedtuple("EvalResult", "value abs_err method")):
     """A computed value with an absolute-error estimate and the method used,
     one of "series", "quadrature" and "closed_form".
 
     Values are always finite; routines report divergence as an error instead
-    of returning an infinity.
+    of returning an infinity.  A named tuple; ``_replace`` checks it too.
     """
 
-    value: float
-    abs_err: float
-    method: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"non-finite value {self.value!r}")
-        if not (math.isfinite(self.abs_err) and self.abs_err >= 0.0):
-            raise ValueError(f"invalid error estimate {self.abs_err!r}")
+    def __new__(cls, value: float, abs_err: float, method: str) -> EvalResult:
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {value!r}")
+        if not (math.isfinite(abs_err) and abs_err >= 0.0):
+            raise ValueError(f"invalid error estimate {abs_err!r}")
+        return tuple.__new__(cls, (value, abs_err, method))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _rounding_err(value: float) -> float:
@@ -158,7 +158,8 @@ _PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 1
 
 
 def digamma(x: float) -> float:
-    """psi(x) = Gamma'(x) / Gamma(x) for x > 0, within a few ulps of max(1, |psi|).
+    """psi(x) = Gamma'(x) / Gamma(x) for x > 0, within a few ulps of max(1, |psi|);
+    ValueError below x ~ 5.6e-309, where psi ~ -1/x leaves the double range.
 
     The recurrence psi(x) = psi(x + 1) - 1/x lifts x to at least 10, where
     the asymptotic series log x - 1/(2x) - sum B_2k / (2k x^2k), cut after
@@ -167,6 +168,8 @@ def digamma(x: float) -> float:
     """
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"digamma requires x > 0, got {x!r}")
+    if 1.0 / x == math.inf:
+        raise ValueError(f"digamma overflows at x = {x!r}")
     parts = []
     while x < 10.0:
         parts.append(-1.0 / x)
@@ -195,43 +198,36 @@ def _connection_domain(a: float, b: float, m: int, w: float) -> bool:
     return max(a, 1.0) * max(b / (m + 1), 1.0) * w <= 1.0
 
 
-@dataclass(frozen=True)
-class HypSeriesSpec:
+class HypSeriesSpec(namedtuple("HypSeriesSpec", "a b c arg rel_tol")):
     """Parameters of one Gauss hypergeometric evaluation F(a, b; c; arg).
 
     a, b and c must be finite, and the series is summed only for |arg| < 1;
-    anything else is rejected up front.  c must not be zero or a negative
-    integer, so the denominator Pochhammer never vanishes.
+    anything else is rejected up front, by ``_replace`` too.  c must not be
+    zero or a negative integer, so the denominator Pochhammer never vanishes.
     """
 
-    a: float
-    b: float
-    c: float
-    arg: float
-    rel_tol: float = 1e-14
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        a, b, c = self.a, self.b, self.c
+    def __new__(cls, a: float, b: float, c: float, arg: float, rel_tol: float = 1e-14):
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
             raise ValueError(f"a, b and c must be finite, got ({a!r}, {b!r}, {c!r})")
         if c <= 0.0 and float(c).is_integer():
             raise ValueError(f"c must not be zero or a negative integer, got {c!r}")
-        if not abs(self.arg) < 1.0:
-            raise ValueError(f"series argument {self.arg!r} needs |arg| < 1")
-        if not self.rel_tol > 0.0:
+        if not abs(arg) < 1.0:
+            raise ValueError(f"series argument {arg!r} needs |arg| < 1")
+        if not rel_tol > 0.0:
             raise ValueError("rel_tol must be positive")
+        return tuple.__new__(cls, (a, b, c, arg, rel_tol))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class _ConnectionSpec:
+class _ConnectionSpec(namedtuple("_ConnectionSpec", "a b m w")):
     """The sum S_m of ``_log_series`` for F(a, b; a + b - m; 1 - w).  The caller
     states m and has checked ``_connection_domain``; nothing is validated here.
     ``arg`` is F's argument, so a wrapper of hyp2f1 reads both specs alike."""
 
-    a: float
-    b: float
-    m: int
-    w: float
+    __slots__ = ()
 
     @property
     def arg(self) -> float:

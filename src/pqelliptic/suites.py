@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import elliptic, gentrig, means
@@ -22,11 +22,10 @@ from .numerics import HypSeriesSpec, hyp2f1, integrate_singular
 __all__ = ["CaseResult", "VerifyReport", "SUITE_NAMES", "run_suite"]
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    name: str
-    residual: float
-    bound: float
+class CaseResult(namedtuple("CaseResult", "name residual bound")):
+    """One checked case: its residual passes at or below the bound."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -34,13 +33,10 @@ class CaseResult:
         return not (self.residual > self.bound or math.isnan(self.residual))
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    suite: str
-    cases: int
-    failures: int
-    max_residual: float
-    elapsed: float
+class VerifyReport(namedtuple("VerifyReport", "suite cases failures max_residual elapsed")):
+    """One suite's totals: it passes with no failing case."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -423,11 +423,50 @@ def test_verify_help_lists_every_suite(capsys):
 
 
 def test_cli_imports_no_typing():
-    # -S leaves out site, which imports typing on some hosts by itself
-    code = "import sys, pqelliptic.cli; print('typing' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    # -S leaves out site, which imports typing on some hosts by itself; the
+    # record types are named tuples, so dataclasses and its chain stay out too
+    heavy = {"typing", "dataclasses", "inspect", "ast", "dis", "tokenize"}
+    for module in ("pqelliptic", "pqelliptic.cli"):
+        code = f"import sys, {module}; print(sorted({heavy!r} & set(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", module
+
+
+# ------------------------------------------------------------ failed output
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "args",
+    (
+        ["eval", "--fn", "Kpq", "--p", "3", "--q", "2", "--k", "0.5"],
+        ["table", "--fn", "Kpq", "--p", "3", "--q", "2", "--k", "0:0.9:2000"],
+    ),
+)
+def test_full_stdout_exits_1_without_traceback(args):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pqelliptic", *args], stdout=full, stderr=subprocess.PIPE,
+            text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_failed_write_to_stdout_exits_1(monkeypatch, capsys):
+    read, write = os.pipe()
+    os.close(read)  # a pipe without a reader fails every write
+    broken = open(write, "w")
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stdout", broken)
+            status = main(["eval", "--fn", "pi_pq", "--p", "2", "--q", "2"])
+    finally:
+        broken.close()  # main pointed the descriptor at devnull, so this flush passes
+    assert status == 1
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
