@@ -135,49 +135,48 @@ def _k_and_e(params: PQParams, m: float, mc: float) -> tuple[float, float]:
 _DERIV_SERIES_MAX = 1e-3  # below this k^q the derivatives take _d_series
 
 
-def _d_series(params: PQParams, k: float, m: float, a: float) -> float:
-    """d/dk of (pi_pq/2) F(a, b; c; k^q), b = 1/q, c = 1/p* + 1/q, summed term
-    by term: (pi_pq/2) q k^(q-1) (ab/c) F(a+1, b+1; c+1; m), m = k^q.
-    k^(q-1) is the square of k^((q-1)/2), which stays in range for every
-    k >= 5e-324 and q > 0.  At k = 0 (m = 0, F = 1) the value is the limit:
-    0 for q > 1 and (pi_pq/2)(a/c) for q = 1.  A value outside the doubles,
-    k = 0 with q < 1 included, raises ValueError."""
+def _d_series(params: PQParams, k: float, m: float, second_kind: bool) -> float:
+    """d/dk of (pi_pq/2) F(a, b; c; k^q), a as in _complete, b = 1/q and
+    c = 1/p* + 1/q, summed term by term: (pi_pq/2) q k^(q-1) (ab/c)
+    F(a+1, b+1; c+1; m), m = k^q.  k^(q-1) is the square of k^((q-1)/2),
+    which stays in range for every k >= 5e-324 and q > 0."""
     q, b = params.q, 1.0 / params.q
     c = 1.0 / params.p_star + b
+    a = -1.0 / params.p if second_kind else 1.0 / params.p_star
     f = hyp2f1(HypSeriesSpec(a + 1.0, b + 1.0, c + 1.0, m)).value
     h = _slope(k, 0.5 * (q - 1.0))
-    value = 0.5 * pi_pq(params) * (q * b) * (a / c) * f * h * h
+    return 0.5 * pi_pq(params) * (q * b) * (a / c) * f * h * h
+
+
+def _derivative(params: PQParams, k: float, second_kind: bool) -> float:
+    """Shared body of dK_dk and dE_dk, as _complete is of K_pq and E_pq."""
+    _check_modulus(k)
+    m, mc = _pow_pair(k, params.q)
+    if m < _DERIV_SERIES_MAX:
+        value = _d_series(params, k, m, second_kind)
+    else:
+        kv, ev = _k_and_e(params, m, mc)
+        num, den = (params.q * (ev - kv), params.p * k) if second_kind else (ev - mc * kv, k * mc)
+        value = num / den if den else math.inf  # the denominator underflowed to 0
     if not math.isfinite(value):
         raise ValueError(f"the derivative leaves the double range at k = {k!r}")
     return value
 
 
 def dK_dk(params: PQParams, k: float) -> float:
-    """dK/dk = (E - (1 - k^q) K) / (k (1 - k^q)).
-
-    It cancels to about k^q, so below k^q = 1e-3 ``_d_series`` with
-    a = 1/p* serves instead, k = 0 included: there the value is 0 for q > 1
-    and (pi_pq/2) / (1 + p*) for q = 1, and q < 1 raises ValueError.
-    """
-    _check_modulus(k)
-    m, mc = _pow_pair(k, params.q)
-    if m < _DERIV_SERIES_MAX:
-        return _d_series(params, k, m, 1.0 / params.p_star)
-    kv, ev = _k_and_e(params, m, mc)
-    return (ev - mc * kv) / (k * mc)
+    """dK/dk = (E - (1 - k^q) K) / (k (1 - k^q)).  It cancels to about k^q,
+    so below k^q = 1e-3 ``_d_series`` serves instead, k = 0 included: there
+    the value is 0 for q > 1 and (pi_pq/2) / (1 + p*) for q = 1.  On either
+    branch a value outside the doubles, k = 0 with q < 1 included, raises
+    ValueError."""
+    return _derivative(params, k, False)
 
 
 def dE_dk(params: PQParams, k: float) -> float:
-    """dE/dk = q (E - K) / (p k); negative on (0, 1) whenever p > 0.  It
-    cancels to about k^q, so below k^q = 1e-3 ``_d_series`` with a = -1/p
-    serves instead, k = 0 included: there the value is 0 for q > 1 and
-    -(pi_pq/2) / (2p - 1) for q = 1, and q < 1 raises ValueError."""
-    _check_modulus(k)
-    m, mc = _pow_pair(k, params.q)
-    if m < _DERIV_SERIES_MAX:
-        return _d_series(params, k, m, -1.0 / params.p)
-    kv, ev = _k_and_e(params, m, mc)
-    return params.q * (ev - kv) / (params.p * k)
+    """dE/dk = q (E - K) / (p k); negative on (0, 1) whenever p > 0.  The
+    series, its k = 0 limit (-(pi_pq/2) / (2p - 1) for q = 1) and the range
+    rule are as for dK_dk."""
+    return _derivative(params, k, True)
 
 
 def legendre_residual(p: float, q: float, k: float) -> float:
@@ -207,7 +206,7 @@ def moment_sin_pq(params: PQParams, n: int) -> float:
     overflow from n ~ 171 on, so their ratio is the running product of
     (1/q + i) / (1/p* + 1/q + i), each factor below 1.
     """
-    if n != int(n) or n < 0:
+    if n != n or n in (math.inf, -math.inf) or n != int(n) or n < 0:  # int() fails on nan, inf
         raise ValueError(f"moment order must be a nonnegative integer, got {n!r}")
     inv_q, inv_ps = 1.0 / params.q, 1.0 / params.p_star
     ratio = 1.0

@@ -60,16 +60,16 @@ def _suite_derivatives() -> list[CaseResult]:
     """Closed-form dK/dk and dE/dk against the series differentiated term by term.
 
     The series is ``elliptic._d_series``, (pi_pq/2) q k^(q-1) (ab/c) F(a+1, b+1;
-    c+1; k^q) with a = 1/p* for K and -1/p for E; every grid point has
-    k^q >= 1e-3, so the functions take their closed forms.  Relative residuals.
+    c+1; k^q) with K's and E's a; every grid point has k^q >= 1e-3, so the
+    functions take their closed forms.  Relative residuals.
     """
     cases = []
     for p, q in ((2, 2), (3, 2), (2, 3)):
         par = PQParams(p, q)
         for i in range(1, 10):
             k = i / 10.0
-            for name, fn, a in (("dK", dK_dk, 1.0 / par.p_star), ("dE", dE_dk, -1.0 / p)):
-                series = elliptic._d_series(par, k, k**q, a)
+            for name, fn, second_kind in (("dK", dK_dk, False), ("dE", dE_dk, True)):
+                series = elliptic._d_series(par, k, k**q, second_kind)
                 r = abs(fn(par, k) / series - 1.0)
                 cases.append(CaseResult(f"{name} p={p} q={q} k={k}", r, 1e-12))
     return cases

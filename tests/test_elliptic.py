@@ -229,6 +229,24 @@ def test_derivatives_at_the_ends_of_the_double_range():
     for fn in (dK_dk, dE_dk):
         with pytest.raises(ValueError, match="double range"):
             fn(PQParams(2, 0.01), 5e-324)
+    # the closed forms (k^q >= 1e-3) returned +-inf here, or raised
+    # ZeroDivisionError where k (1 - k^q) or p k underflowed to 0
+    closed = (
+        (PQParams(3, 0.005), 1e-320),
+        (PQParams(-0.05, 1e-12), 5e-324),
+        (PQParams(-1e10, 1e-10), 5e-324),
+    )
+    for par, k in closed:
+        for fn in (dK_dk, dE_dk):
+            with pytest.raises(ValueError, match="double range"):
+                fn(par, k)
+    # 1 - k^q is subnormal: only dK_dk divides by it
+    near_one = (PQParams(1e300, 1e-300), 0.9999999999999999)
+    with pytest.raises(ValueError, match="double range"):
+        dK_dk(*near_one)
+    assert dE_dk(*near_one) == -3.61595849130431e-299
+    assert dK_dk(PQParams(3, 0.005), 1e-310) == 7.77973771581732e306
+    assert dE_dk(PQParams(3, 0.005), 1e-310) == -3.780599789698776e306
 
 
 # references from mpmath at 60 digits; 1 - k^q formed by subtraction is off by
@@ -486,8 +504,10 @@ def test_moments_match_beta_integral():
 
 
 def test_moment_rejects_negative_order():
-    with pytest.raises(ValueError):
-        moment_sin_pq(PQParams(2, 2), -1)
+    # int(inf) raised OverflowError
+    for bad in (-1, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            moment_sin_pq(PQParams(2, 2), bad)
 
 
 # ------------------------------------------------------------- validation

@@ -1,15 +1,15 @@
-"""The exception half of the public contract for K_pq, E_pq, arcsin_pq and
-the trig functions, as a property: every call returns a finite float or
-raises ValueError or ConvergenceError.  Every sin_pq value also meets the
-inversion's stopping rule, |arcsin_pq(s) - theta| <= max(1e-12 min(1, theta),
-ulp(theta)).
+"""The exception half of the public contract for K_pq, E_pq, their
+derivatives, arcsin_pq and the trig functions, as a property: every call
+returns a finite float or raises ValueError or ConvergenceError.  Every
+sin_pq value also meets the inversion's stopping rule,
+|arcsin_pq(s) - theta| <= max(1e-12 min(1, theta), ulp(theta)).
 
 Hypothesis runs derandomized with a fixed example budget, so the examples
 are the same on every run.  p covers (-50, -0.01) u (1.001, 50), with a band
 of p in (1.001, 1.3), and q covers (0.05, 50), with a band of q in
 (1e-3, 0.05), where cos_pq underflows while sin_pq < 1.  k^q, x and theta
 spread over their whole ranges, with bands near both ends; theta reaches
-down to 1e-300.
+down to 1e-300, and the derivatives' k has a band in [5e-324, 1e-300].
 """
 
 import math
@@ -19,7 +19,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from pqelliptic import ConvergenceError, E_pq, K_pq  # noqa: E402
+from pqelliptic import ConvergenceError, E_pq, K_pq, dE_dk, dK_dk  # noqa: E402
 from pqelliptic.gentrig import PQParams, arcsin_pq, cos_pq, pi_pq, sin_pq, tan_pq  # noqa: E402
 
 # Hypothesis's failure report imports a module that warns on import; ignore
@@ -71,6 +71,16 @@ def test_complete_integrals_keep_the_contract(p, q, kq):
     for fn in (K_pq, E_pq):
         for method in KE_METHODS:
             _keeps_contract(lambda: fn(params, k, method).value)
+
+
+@_SETTINGS
+@hypothesis.given(p=_P, q=_Q, kq=_SHARE, tiny=st.booleans(), u=_uniform(300.0, 323.3))
+def test_derivatives_keep_the_contract(p, q, kq, tiny, u):
+    params = PQParams(p, q)
+    # k from k^q, or subnormal, where k (1 - k^q) and p k can underflow to 0
+    k = 10.0**-u if tiny else min(kq ** (1.0 / q), math.nextafter(1.0, 0.0))
+    for fn in (dK_dk, dE_dk):
+        _keeps_contract(lambda: fn(params, k))
 
 
 @_SETTINGS
