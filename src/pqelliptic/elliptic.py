@@ -83,11 +83,11 @@ def _complete(params: PQParams, m: float, mc: float, method: str, second_kind: b
         r = hyp2f1(_ConnectionSpec(inv_ps, inv_q + order, order, mc))
         head, scale = (1.0, -mc / (params.p * params.q)) if second_kind else (0.0, -inv_q)
         return _shifted(head, 0.0, _scaled(scale, r))
-    q, t_exp = params.q, -1.0 / params.p
+    q, t_exp, neg_a = params.q, -1.0 / params.p, -a
 
     def integrand(t: float, tc: float) -> float:
         omt = _one_minus_pow(t, tc, q)
-        return omt**t_exp * (mc + m * omt) ** -a
+        return omt**t_exp * (mc + m * omt) ** neg_a
 
     return integrate_singular(integrand, _QUAD_TOL)
 
@@ -198,16 +198,22 @@ def legendre_residual(p: float, q: float, k: float) -> float:
     return p * e_pq * k_qp - q * k_pq * e_qp - 0.25 * (p - q) * pi_pq(par_pq) * pi_pq(par_qp)
 
 
+_MOMENT_MAX = 2**20  # the largest order moment_sin_pq takes, a product of n factors
+
+
 def moment_sin_pq(params: PQParams, n: int) -> float:
     """integral_0^{pi_pq/2} sin_pq^{q n} theta dtheta in closed form.
 
     Substituting t = sin_pq^q theta turns the moment into a beta integral,
     giving (pi_pq/2) (1/q)_n / (1/p* + 1/q)_n.  The two Pochhammer symbols
     overflow from n ~ 171 on, so their ratio is the running product of
-    (1/q + i) / (1/p* + 1/q + i), each factor below 1.
+    (1/q + i) / (1/p* + 1/q + i), each factor below 1.  Orders above 2**20
+    raise ValueError: the product takes time linear in n.
     """
     if n != n or n in (math.inf, -math.inf) or n != int(n) or n < 0:  # int() fails on nan, inf
         raise ValueError(f"moment order must be a nonnegative integer, got {n!r}")
+    if n > _MOMENT_MAX:
+        raise ValueError(f"moment order must be at most 2**20 = {_MOMENT_MAX}, got {n!r}")
     inv_q, inv_ps = 1.0 / params.q, 1.0 / params.p_star
     ratio = 1.0
     for i in range(int(n)):

@@ -153,14 +153,14 @@ def _recip_mp_integral(x: float, xp: float, p: float) -> EvalResult:
     underflows to 0, h takes it as 0.  The error adds c_p's beta rounding.
     """
     c, rel = _c_p_rel(p)
-    inv_p = 1.0 / p
+    neg_inv_p, exp = -(1.0 / p), math.exp
     lx = math.log(x)
     a = p * lx
 
     def f(u: float, uc: float) -> float:
         up = u**p
-        h = ((1.0 + up) * (1.0 + xp * up)) ** -inv_p
-        k = ((1.0 + math.exp(a * uc)) * (1.0 + math.exp(a * u))) ** -inv_p
+        h = ((1.0 + up) * (1.0 + xp * up)) ** neg_inv_p
+        k = ((1.0 + exp(a * uc)) * (1.0 + exp(a * u))) ** neg_inv_p
         return 2.0 * h - lx * k
 
     return _scaled(c, integrate_singular(f, _INTEGRAL_TOL), rel)

@@ -65,9 +65,12 @@ class EvalResult(namedtuple("EvalResult", "value abs_err method")):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
+_FOUR_EPS = 4.0 * sys.float_info.epsilon
+
+
 def _rounding_err(value: float) -> float:
     """4 eps |value|, the rounding error of a few correctly rounded steps."""
-    return 4.0 * sys.float_info.epsilon * abs(value)
+    return _FOUR_EPS * abs(value)
 
 
 def _closed_form(value: float) -> EvalResult:
@@ -175,9 +178,8 @@ def digamma(x: float) -> float:
         parts.append(-1.0 / x)
         x += 1.0
     y = 1.0 / (x * x)
-    tail = 0.0
-    for coef in reversed(_PSI_SERIES):
-        tail = tail * y + coef
+    c1, c2, c3, c4, c5, c6, c7 = _PSI_SERIES  # Horner's rule from c7
+    tail = (((((c7 * y + c6) * y + c5) * y + c4) * y + c3) * y + c2) * y + c1
     parts += (math.log(x), -0.5 / x, -y * tail)
     return math.fsum(parts)
 
@@ -237,10 +239,10 @@ class _ConnectionSpec(namedtuple("_ConnectionSpec", "a b m w")):
 def hyp2f1(spec: HypSeriesSpec | _ConnectionSpec) -> EvalResult:
     """F(a, b; c; arg) by the Gauss series  sum_n (a)_n (b)_n / (c)_n * arg^n / n!.
 
-    Terms are built by the ratio recurrence, so the result is exactly
-    symmetric under swapping a and b.  Summation stops once two consecutive
-    terms fall below rel_tol times the running partial sum; the second of
-    them is dropped and its magnitude becomes the error estimate.
+    Terms are built in floats (int parameters too) by the ratio recurrence,
+    so the result is exactly symmetric in a and b.  Summation stops once two
+    consecutive terms fall below rel_tol times the running partial sum; the
+    second of them is dropped and its magnitude becomes the error estimate.
 
     Every HypSeriesSpec, whose argument lies inside the unit disc, gives F;
     at argument 0 that is exactly 1, where (a + n)(b + n) may overflow.  A
@@ -251,15 +253,19 @@ def hyp2f1(spec: HypSeriesSpec | _ConnectionSpec) -> EvalResult:
     """
     if isinstance(spec, _ConnectionSpec):
         return _log_series(spec)
-    a, b, c, x = spec.a, spec.b, spec.c, spec.arg
+    a, b, c, x, tol = spec
     if x == 0.0:
         return EvalResult(1.0, 0.0, "series")
-    total = 1.0
-    term = 1.0
+    total = term = 1.0
     small = 0
-    for n in range(_MAX_TERMS):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * x
-        if not abs(term) > spec.rel_tol * abs(total):  # a NaN term stops the sum
+    n1 = 0.0  # n + 1 in floats: a + n is then one float add, the same sum as for an int n
+    for _ in range(_MAX_TERMS):
+        n = n1
+        n1 = n + 1.0
+        term *= (a + n) * (b + n) / ((c + n) * n1) * x
+        if abs(term) > tol * abs(total):
+            small = 0
+        else:  # a NaN term stops the sum too
             small += 1
             if small >= 2:
                 if not math.isfinite(total):
@@ -268,8 +274,6 @@ def hyp2f1(spec: HypSeriesSpec | _ConnectionSpec) -> EvalResult:
                         f"(a={a!r}, b={b!r}, c={c!r}, arg={x!r})"
                     )
                 return EvalResult(total, abs(term), "series")
-        else:
-            small = 0
         total += term
     raise ConvergenceError(
         f"hypergeometric series did not settle within {_MAX_TERMS} terms "
@@ -297,7 +301,7 @@ def _log_series(spec: _ConnectionSpec) -> EvalResult:
     tail bound plus, for rounding, n eps times the largest term and a few eps
     of the bracket's constants carried by every term.
     """
-    a, b, m, w = spec.a, spec.b, spec.m, spec.w
+    a, b, m, w = spec
     log_w = math.log(w)
     psi_a, psi_b = digamma(a), digamma(b)
     # log w - psi(1) - psi(m + 1) + psi(a) + psi(b), with psi(2) = 1 - gamma
@@ -307,20 +311,24 @@ def _log_series(spec: _ConnectionSpec) -> EvalResult:
     # psi'(y) <= 2/y for y >= 1; likewise psi(b + j) - psi(j + m + 1)
     da, ya = 2.0 * abs(ua), min(a, 1.0)
     db, yb = 2.0 * abs(ub), min(b, m + 1.0)
-    size_w = abs(log_w)
+    size_w, tol, m1 = abs(log_w), _LOG_SERIES_TOL, m + 1.0
     cw = 1.0  # (a)_n (b)_n / (n! (n+m)!) w^n
     total = peak = mass = 0.0
-    for n in range(_MAX_TERMS):
+    n1 = 0.0  # n + 1 as a float, as in hyp2f1
+    for _ in range(_MAX_TERMS):
+        n = n1
+        n1 = n + 1.0
         term = cw * bracket
         total += term
-        if abs(term) > peak:
-            peak = abs(term)
+        size = abs(term)
+        if size > peak:
+            peak = size
         mass += cw
-        an, bn, n1 = a + n, b + n, n + 1.0
-        cw *= an * bn / (n1 * (n1 + m)) * w
+        an, bn, nm1 = a + n, b + n, n + m1
+        cw *= an * bn / (n1 * nm1) * w
         # psi(a+n+1) - psi(a+n) - psi(n+2) + psi(n+1) = 1/(a+n) - 1/(n+1), and for b
-        bracket += ua / (an * n1) + ub / (bn * (n1 + m))
-        if cw * size_w > _LOG_SERIES_TOL * abs(total):
+        bracket += ua / (an * n1) + ub / (bn * nm1)
+        if cw * size_w > tol * abs(total):
             continue  # the tail bound below is at least cw |log w|
         # Past n the factors (a + j)/(j + 1) and (b + j)/(j + m + 1) move
         # monotonically towards 1, so r bounds every later coefficient ratio,
@@ -330,10 +338,10 @@ def _log_series(spec: _ConnectionSpec) -> EvalResult:
         r = max((a + n + 1) / (n + 2), 1.0) * max((b + n + 1) / (n + m + 2), 1.0) * w
         stray = da / (ya + n + 1) + db / (yb + n + 1)
         tail = cw * (size_w + stray) / (1.0 - r)
-        if tail <= _LOG_SERIES_TOL * abs(total):
+        if tail <= tol * abs(total):
             constants = 4.0 * (size_w + abs(psi_a) + abs(psi_b) + 2.0) * mass
             eps = sys.float_info.epsilon
-            return EvalResult(total, tail + eps * ((n + 1) * peak + constants), "series")
+            return EvalResult(total, tail + eps * (n1 * peak + constants), "series")
     raise ConvergenceError(
         f"connection series did not settle within {_MAX_TERMS} terms "
         f"(a={a!r}, b={b!r}, m={m!r}, w={w!r})"
@@ -426,6 +434,7 @@ def _tanh_sinh(f: Callable[[float, float], float], tol: float, where: Callable) 
     skipped = 0  # nodes beyond the tail cut, each below _TAIL * peak
     prev = math.inf
     diff = math.inf
+    append, isfinite = terms.append, math.isfinite
     for level in range(_LEVEL_CAP + 1):
         start = len(terms)
         runs = []
@@ -438,9 +447,9 @@ def _tanh_sinh(f: Callable[[float, float], float], tol: float, where: Callable) 
                     ft = f(t, tc)
                 except ArithmeticError:
                     ft = math.nan
-                if not math.isfinite(ft):
+                if not isfinite(ft):
                     raise ValueError(f"integrand returned non-finite value near {where(t, tc)}")
-                terms.append(w * ft)
+                append(w * ft)
             runs.append((us, lo, n))
         new = terms[start:]
         if new:

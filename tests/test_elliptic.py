@@ -508,6 +508,11 @@ def test_moment_rejects_negative_order():
     for bad in (-1, math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="nonnegative integer"):
             moment_sin_pq(PQParams(2, 2), bad)
+    # the product takes n factors: these orders passed the check and hung
+    for huge in (1e300, 10**400, 2**20 + 1):
+        with pytest.raises(ValueError, match=r"at most 2\*\*20 = 1048576"):
+            moment_sin_pq(PQParams(2, 2), huge)
+    assert moment_sin_pq(PQParams(2, 2), 2**20) == 0.0008654558787171471
 
 
 # ------------------------------------------------------------- validation

@@ -4,6 +4,7 @@ monotone inversion."""
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -312,6 +313,141 @@ def test_log_series_that_does_not_settle_raises(monkeypatch):
     monkeypatch.setattr(numerics, "_MAX_TERMS", 2)
     with pytest.raises(ConvergenceError, match="connection series did not settle"):
         hyp2f1(_ConnectionSpec(0.5, 0.5, 0, 0.3))
+
+
+# ----------------------------------------------- the series loops, bit for bit
+#
+# hyp2f1, _log_series and digamma count terms with a float n, bind their
+# constants once and unroll digamma's Horner rule; these are the plain loops
+# they replaced, each floating-point operation with the same operands in the
+# same order, so every value, error estimate and exception text must match.
+# (The 10^6-term ConvergenceError is left out: the sample never reaches it.)
+
+
+def _plain_digamma(x):
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"digamma requires x > 0, got {x!r}")
+    if 1.0 / x == math.inf:
+        raise ValueError(f"digamma overflows at x = {x!r}")
+    parts = []
+    while x < 10.0:
+        parts.append(-1.0 / x)
+        x += 1.0
+    y = 1.0 / (x * x)
+    tail = 0.0
+    for coef in reversed(numerics._PSI_SERIES):
+        tail = tail * y + coef
+    parts += (math.log(x), -0.5 / x, -y * tail)
+    return math.fsum(parts)
+
+
+def _plain_gauss(spec):
+    a, b, c, x = spec.a, spec.b, spec.c, spec.arg
+    if x == 0.0:
+        return EvalResult(1.0, 0.0, "series")
+    total = 1.0
+    term = 1.0
+    small = 0
+    for n in range(numerics._MAX_TERMS):
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * x
+        if not abs(term) > spec.rel_tol * abs(total):
+            small += 1
+            if small >= 2:
+                if not math.isfinite(total):
+                    raise ValueError(
+                        f"hypergeometric series sum is not finite: {total!r} "
+                        f"(a={a!r}, b={b!r}, c={c!r}, arg={x!r})"
+                    )
+                return EvalResult(total, abs(term), "series")
+        else:
+            small = 0
+        total += term
+
+
+def _plain_log_series(spec):
+    a, b, m, w = spec.a, spec.b, spec.m, spec.w
+    log_w = math.log(w)
+    psi_a, psi_b = _plain_digamma(a), _plain_digamma(b)
+    bracket = log_w + 2.0 * numerics._EULER_GAMMA - m + psi_a + psi_b
+    ua, ub = 1.0 - a, m + 1.0 - b
+    da, ya = 2.0 * abs(ua), min(a, 1.0)
+    db, yb = 2.0 * abs(ub), min(b, m + 1.0)
+    size_w = abs(log_w)
+    cw = 1.0
+    total = peak = mass = 0.0
+    for n in range(numerics._MAX_TERMS):
+        term = cw * bracket
+        total += term
+        if abs(term) > peak:
+            peak = abs(term)
+        mass += cw
+        an, bn, n1 = a + n, b + n, n + 1.0
+        cw *= an * bn / (n1 * (n1 + m)) * w
+        bracket += ua / (an * n1) + ub / (bn * (n1 + m))
+        if cw * size_w > 2.0**-53 * abs(total):
+            continue
+        r = max((a + n + 1) / (n + 2), 1.0) * max((b + n + 1) / (n + m + 2), 1.0) * w
+        stray = da / (ya + n + 1) + db / (yb + n + 1)
+        tail = cw * (size_w + stray) / (1.0 - r)
+        if tail <= 2.0**-53 * abs(total):
+            constants = 4.0 * (size_w + abs(psi_a) + abs(psi_b) + 2.0) * mass
+            eps = sys.float_info.epsilon
+            return EvalResult(total, tail + eps * ((n + 1) * peak + constants), "series")
+
+
+def _outcome(fn, arg):
+    try:
+        return repr(fn(arg))
+    except (ValueError, ConvergenceError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _gauss_sample(rng, count):
+    """Seeded HypSeriesSpecs: both rel_tols, negative, zero and positive
+    arguments, terminating and non-terminating series, and the specs whose
+    sum stops at a NaN term (an invalid error estimate) or ends non-finite."""
+
+    def size():
+        return 10.0 ** rng.uniform(-6.0, 1.7)
+
+    specs = [
+        HypSeriesSpec(-0.5, 1.5e308, 1e308, 0.5),  # a small term, then a NaN one
+        HypSeriesSpec(1e300, -1e300, 1e300, 1e-300),  # the sum ends NaN
+        HypSeriesSpec(1e300, 1e300, 1.0, 0.5),  # the sum ends infinite
+    ]
+    while len(specs) < count:
+        a = rng.choice((size(), -size(), -float(rng.randint(0, 6))))
+        b = rng.choice((size(), -size()))
+        c = rng.choice((a + b, a + b + 1.0, size(), -size() - 0.5))
+        if c <= 0.0 and c.is_integer():
+            continue
+        x = rng.choice((rng.uniform(-0.99, 0.99), rng.uniform(0.9, 0.99), -rng.random(), 0.0))
+        specs.append(HypSeriesSpec(a, b, c, x, rng.choice((1e-14, 2.0**-53))))
+    return specs
+
+
+def test_series_loops_change_no_bit():
+    rng = random.Random(29)
+    cases = [(hyp2f1, _plain_gauss, s) for s in _gauss_sample(rng, 3000)]
+    cases += [
+        (hyp2f1, _plain_log_series, _ConnectionSpec(*point))
+        for point in _ratio_bound_points(rng, 1500)
+        + [(rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0), m, 10.0 ** rng.uniform(-300, -0.31))
+           for m in (0, 1) for _ in range(250)]
+    ]
+    xs = [10.0 ** rng.uniform(-308.5, 6.0) for _ in range(2000)]
+    xs += [5e-324, 5e-309, 1e-308, 0.0, -1.0, math.nan, math.inf, 9.999999999999998, 10.0, 1]
+    cases += [(digamma, _plain_digamma, x) for x in xs]
+    outcomes = []
+    for fn, plain, arg in cases:
+        got = _outcome(fn, arg)
+        assert got == _outcome(plain, arg), arg
+        outcomes.append(got)
+    assert "ValueError: invalid error estimate nan" in outcomes
+    assert "ValueError: hypergeometric series sum is not finite: nan" in " ".join(outcomes)
+    assert "ValueError: hypergeometric series sum is not finite: inf" in " ".join(outcomes)
+    assert sum(o.startswith("EvalResult") for o in outcomes) > 4000
+    assert "ValueError: digamma overflows at x = 5e-324" in outcomes
 
 
 # ------------------------------------------------------- singular quadrature
