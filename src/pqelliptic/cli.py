@@ -259,9 +259,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NUMBER_OPTIONS = frozenset(f"--{flag}" for flag in (*_AXIS_FLAGS, "tol"))
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each negative number that follows a number option joined
+    to it, as in --p=-1e-3.  argparse reads a token that starts with '-' as
+    an option unless it has the form -5 or -.5, so it would take '-1e-3',
+    '-inf' and the grid '-50:-0.01:3' for options; no option here looks like
+    a number."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _NUMBER_OPTIONS and tok[:1] == "-" and _is_number(tok.split(":")[0]):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
+def _is_number(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         # argparse before Python 3.13 takes an option value of '--' as an empty list
         for name, value in vars(ns).items():

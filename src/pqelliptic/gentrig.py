@@ -167,7 +167,7 @@ def _theta_tol(theta: float) -> float:
 
 
 def _slope(base: float, e: float) -> float:
-    """base**e for base >= 0 as a Newton slope: infinite where it overflows,
+    """base**e for base >= 0 as an inversion slope: infinite where it overflows,
     a zero base under e < 0 included, so the inversion bisects there."""
     try:
         return base**e
@@ -179,22 +179,32 @@ def sin_pq(params: PQParams, theta: float) -> float:
     """Inverse of arcsin_pq, increasing from [0, pi_pq/2] onto [0, 1].
 
     Endpoints are exact; interior values come from ``invert_monotone``'s
-    Newton steps on the defining integral, with its exact slope, to a
-    residual of ``_theta_tol(theta)`` in theta, relative below theta = 1, so
-    tiny theta and a tiny pi_pq/2 keep their digits.  The integrand
-    (1 - t^q)^(-1/p) is at least 1 for p > 1 and at most 1 for p < 0, so
-    arcsin_pq x >= x or <= x: the bracket is [0, min(1, theta)] or
-    [min(1, theta), 1].
+    Halley steps on the defining integral, with its exact slope and
+    curvature, to a residual of ``_theta_tol(theta)`` in theta, relative
+    below theta = 1, so tiny theta and a tiny pi_pq/2 keep their digits.
+    The bracket is [0, 1] where arcsin_pq(1) is closed-form, as neither end
+    then costs an evaluation.  Elsewhere, as the integrand (1 - t^q)^(-1/p)
+    is at least 1 for p > 1 and at most 1 for p < 0, so that arcsin_pq x >= x
+    or <= x, the bracket is [0, min(1, theta)] or [min(1, theta), 1].
 
     With a = 1/p* and w = 1 - x^q, theta = pi_pq/2 - w^a/(a q) to leading
     order near x = 1, so w0 = (a q (pi_pq/2 - theta))^(1/a) estimates w at
     the root.  Where w0 > 1/2, or min(1, theta)^q < 1/2 (for p > 1 the root
     lies below theta; for q < 1 the leading term overstates the tail and w0
-    understates w), the inversion runs in x, with slope w^(-1/p).  Otherwise
-    it runs in v = -w^a, with slope x^(1-q)/(a q), in which theta is nearly
-    linear; x comes back from v through log1p, so it reaches every float
-    near 1.  Either way a Newton step from the bracket end at 0 or 1 lands
-    on the estimate x = theta or w^a = a q (pi_pq/2 - theta).
+    understates w), the inversion runs in x, with slope w^(-1/p) and
+    curvature (q/p) (x^q/x) w^(-1/p)/w.  Otherwise it runs in v = -w^a, with
+    slope d = x^(1-q)/(a q) and curvature (1 - q) d^2 (w/(-v))/x, in which
+    theta is nearly linear; x comes back from v through log1p, so it reaches
+    every float near 1.
+
+    The inversion starts from the first two terms of each variable's
+    series.  In x, theta = x (1 + x^q/(p (q + 1)) + ...) gives the start
+    t1 (1 - t1^q/(p (q + 1))), t1 = min(1, theta).  In v, with
+    e = a q (pi_pq/2 - theta) and c = a (1 - 1/q)/(a + 1),
+    e = w^a (1 + c w + ...) gives the start v = -e/(1 + c w0) where
+    |c w0| <= 1/4.  Where a start falls outside the bracket, or outside that
+    guard, a step from the bracket end at 0 or 1 lands on the estimate
+    x = theta or w^a = e.
 
     Every residual is arcsin_pq(x) - theta at the very x returned.  The ends
     x = 0 and x = 1 take their values 0 and pi_pq/2 without a call, the
@@ -215,37 +225,57 @@ def sin_pq(params: PQParams, theta: float) -> float:
     lo, hi = (0.0, t1) if params.p > 1.0 else (t1, 1.0)
     if lo == hi:  # theta >= 1 > p: pi_pq/2 exceeds 1 only by its rounding
         return 1.0
-    q, a, tol = params.q, 1.0 / params.p_star, _theta_tol(theta)
+    p, q, a, tol = params.p, params.q, 1.0 / params.p_star, _theta_tol(theta)
     # arcsin_pq at each x the inversion has met, and at the closed-form ends
     known = {0.0: 0.0, 1.0: half} if _complement_keeps(half, pi_rel, 0.0, a) else {0.0: 0.0}
+    if 1.0 in known:
+        lo, hi = 0.0, 1.0
 
     def theta_at(x: float) -> float:
         if x not in known:
             known[x] = arcsin_pq(params, x)
         return known[x]
 
-    if a * q * (half - theta) > 0.5**a or t1**q < 0.5:  # w0 > 1/2, without a 1/a power
-        inv_p = 1.0 / params.p
-        return invert_monotone(
-            lambda x: (theta_at(x), _slope(_pow_pair(x, q)[1], -inv_p)), theta, lo, hi, tol
-        )
+    e = a * q * (half - theta)
+    m1 = t1**q
+    if e > 0.5**a or m1 < 0.5:  # w0 > 1/2, without a 1/a power
+        inv_p, k = 1.0 / p, q / p
+
+        def g_x(x: float) -> tuple[float, float, float]:
+            m, w = _pow_pair(x, q)
+            d = _slope(w, -inv_p)
+            return theta_at(x), d, k * _quotient(m, x) * _quotient(d, w)
+
+        x0 = t1 * (1.0 - m1 / (p * (q + 1.0)))
+        return invert_monotone(g_x, theta, lo, hi, tol, x0)
     inv_a, inv_q = 1.0 / a, 1.0 / q
-    v_lo, v_hi = -(_pow_pair(lo, q)[1] ** a), -(_pow_pair(hi, q)[1] ** a)
+    w_lo, w_hi = _pow_pair(lo, q)[1], _pow_pair(hi, q)[1]
+    v_lo, v_hi = -(w_lo**a), -(w_hi**a)
 
-    def x_at(v: float) -> float:
-        # exact at the bracket's ends; inside, w < 1, and log1p keeps the
-        # digits of w that 1 - w would drop, so x reaches every float near 1
+    def x_at(v: float) -> tuple[float, float]:
+        # (x, w) with w = (-v)^(1/a) = 1 - x^q, exact at the bracket's ends;
+        # inside, w < 1, and log1p keeps the digits of w that 1 - w would
+        # drop, so x reaches every float near 1
         if v == v_lo:
-            return lo
+            return lo, w_lo
         if v == v_hi:
-            return hi
-        return math.exp(math.log1p(-((-v) ** inv_a)) * inv_q)
+            return hi, w_hi
+        w = (-v) ** inv_a
+        return math.exp(math.log1p(-w) * inv_q), w
 
-    def g(v: float) -> tuple[float, float]:
-        x = x_at(v)
-        return theta_at(x), _slope(x, 1.0 - q) / a / q
+    def g_v(v: float) -> tuple[float, float, float]:
+        x, w = x_at(v)
+        d = _slope(x, 1.0 - q) / a / q
+        return theta_at(x), d, (1.0 - q) * d * d * _quotient(_quotient(w, -v), x)
 
-    return x_at(invert_monotone(g, theta, v_lo, v_hi, tol))
+    cw0 = a * (1.0 - inv_q) / (a + 1.0) * e**inv_a
+    v0 = -e / (1.0 + cw0) if abs(cw0) <= 0.25 else math.nan
+    return x_at(invert_monotone(g_v, theta, v_lo, v_hi, tol, v0))[0]
+
+
+def _quotient(n: float, d: float) -> float:
+    """n/d, or nan where d is 0, so the inversion takes a Newton step."""
+    return n / d if d else math.nan
 
 
 def _cos_from_sin(s: float, q: float) -> float:

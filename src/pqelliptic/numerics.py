@@ -3,11 +3,12 @@
 Gamma/beta/digamma helpers, the Gauss hypergeometric series and its
 connection series in 1 - z, double-exponential (tanh-sinh) quadrature for
 integrands with algebraic endpoint singularities, bracketed inversion of
-monotone functions (Newton steps with the caller's slope, bisection as the
-safeguard), and the three compositions (``_scaled``, ``_shifted``,
-``_over``) by which a route turns a kernel's result into its own, error
-included.  Everything is a pure function of its arguments; the only module
-state is an idempotent cache of quadrature nodes.
+monotone functions (Halley steps with the caller's slope and curvature,
+Newton and bisection steps as the safeguards), and the three compositions
+(``_scaled``, ``_shifted``, ``_over``) by which a route turns a kernel's
+result into its own, error included.  Everything is a pure function of
+its arguments; the only module state is an idempotent cache of quadrature
+nodes.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ __all__ = [
 SERIES_ARG_MAX = 0.99
 _MAX_TERMS = 1_000_000  # terms a series may take before it raises ConvergenceError
 _SUBNORMAL_SPACING = math.ulp(0.0)
-_INVERT_MAX_ITER = 200  # Newton or bisection steps before invert_monotone gives up
+_INVERT_MAX_ITER = 200  # evaluations before invert_monotone gives up
 
 
 class ConvergenceError(RuntimeError):
@@ -522,28 +523,33 @@ def _pow_pair(x: float, q: float) -> tuple[float, float]:
 
 
 def invert_monotone(
-    g: Callable[[float], tuple[float, float]],
+    g: Callable[[float], tuple[float, float, float]],
     target: float,
     lo: float,
     hi: float,
     tol: float = 1e-12,
+    start: float = math.nan,
 ) -> float:
     """Solve g(x) = target for a continuous increasing g on [lo, hi].
 
-    ``g`` returns the pair (g(x), g'(x)).  The kernel takes Newton steps
-    with that slope, the first from the bracket end with the smaller
-    residual and each later one from the latest point.  A step that rounds
-    back onto a bracket end moves one ulp inside it instead, so a root
-    closer than an ulp costs one evaluation, not a bisection of the whole
-    bracket.  Whenever a step leaves the open bracket, or a slope is not
-    positive and finite, the bisection midpoint is used instead, which
-    keeps the iteration deterministic.  Returns x with |g(x) - target| <= tol.
+    ``g`` returns the triple (g(x), g'(x), g''(x)).  The kernel evaluates g
+    first at ``start`` where that estimate of the root lies inside (lo, hi),
+    and otherwise takes its first step from the bracket end with the smaller
+    residual; each later step is from the latest point.  A step is Halley's,
+    x - (r/g')/(1 - r g''/(2 g'^2)) with r = g(x) - target, and the plain
+    Newton step x - r/g' where that correction factor is not finite or
+    leaves [1/2, 2].  A step that rounds back onto a bracket end moves one
+    ulp inside it instead, so a root closer than an ulp costs one
+    evaluation, not a bisection of the whole bracket.  Whenever a step
+    leaves the open bracket, or a slope is not positive and finite, the
+    bisection midpoint is used instead, which keeps the iteration
+    deterministic.  Returns an evaluated x with |g(x) - target| <= tol.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    (glo, dlo), (ghi, dhi) = g(lo), g(hi)
+    (glo, dlo, elo), (ghi, dhi, ehi) = g(lo), g(hi)
     rlo, rhi = glo - target, ghi - target
     if rlo > 0.0 or rhi < 0.0:
         raise ValueError(
@@ -554,15 +560,11 @@ def invert_monotone(
         return lo
     if abs(rhi) <= tol:
         return hi
-    x1, r1, d1 = (lo, rlo, dlo) if -rlo <= rhi else (hi, rhi, dhi)
+    end = (lo, rlo, dlo, elo) if -rlo <= rhi else (hi, rhi, dhi, ehi)
+    x = start if lo < start < hi else _halley_step(*end, lo, hi)
     best_r = math.inf
     for _ in range(_INVERT_MAX_ITER):
-        x = x1 - r1 / d1 if 0.0 < d1 < math.inf else math.nan
-        if x == lo or x == hi:  # the step rounds onto an end: one ulp inside
-            x = math.nextafter(x, hi if x == lo else lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        y, d = g(x)
+        y, d, e = g(x)
         r = y - target
         if abs(r) <= tol:
             return x
@@ -571,9 +573,25 @@ def invert_monotone(
             lo = x
         else:
             hi = x
-        x1, r1, d1 = x, r, d
         if hi - lo <= 2.0 * math.ulp(max(abs(lo), abs(hi))):
             break  # bracket exhausted at double resolution
+        x = _halley_step(x, r, d, e, lo, hi)
     raise ConvergenceError(
         f"inversion stalled with residual {best_r:g} above tol={tol:g}"
     )
+
+
+def _halley_step(x: float, r: float, d: float, e: float, lo: float, hi: float) -> float:
+    """invert_monotone's next iterate from x, with residual r, slope d and
+    curvature e, inside the open bracket (lo, hi)."""
+    if 0.0 < d < math.inf:
+        step = r / d
+        u = 0.5 * step * e / d  # the correction factor is 1/(1 - u)
+        x -= step / (1.0 - u) if -1.0 <= u <= 0.5 else step
+    else:
+        x = math.nan
+    if x == lo or x == hi:  # the step rounds onto an end: one ulp inside
+        x = math.nextafter(x, hi if x == lo else lo)
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    return x

@@ -137,6 +137,10 @@ def test_eval_usage_errors(capsys):
     assert main(["eval", "--fn", "Kpq", "--p", "2"]) == 2  # missing --q, --k
     assert main(["eval", "--fn", "ordering", "--p", "2", "--x", "0.5"]) == 2  # table-only
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:  # --q is no value of --p
+        main(["eval", "--fn", "pi_pq", "--p", "--q", "2"])
+    assert exc.value.code == 2
+    assert "argument --p: expected one argument" in capsys.readouterr().err
 
 
 def test_eval_domain_errors(capsys):
@@ -339,6 +343,24 @@ def test_table_usage_errors(capsys):
 def test_table_unparsable_axes_exit_2(axes, err, capsys):
     assert main(["table", "--fn", "Kpq", "--p", "2", *axes]) == 2
     assert capsys.readouterr() == ("", f"usage error: {err}\n")
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["eval", "--fn", "pi_pq", "--p", "-1e-3", "--q", "2"], 0),
+        (["eval", "--fn", "pi_pq", "--p", "-inf", "--q", "2"], 1),
+        (["table", "--fn", "pi_pq", "--p", "-50:-0.01:3", "--q", "2"], 0),
+    ],
+    ids=["exponent", "inf", "grid"],
+)
+def test_negative_value_after_a_space_equals_the_joined_form(args, code, capsys):
+    # argparse took '-1e-3', '-inf' and '-50:-0.01:3' for options: exit 2
+    i = args.index("--p")
+    assert main([*args[:i], f"--p={args[i + 1]}", *args[i + 2:]]) == code
+    joined = capsys.readouterr()
+    assert main(args) == code
+    assert capsys.readouterr() == joined
 
 
 def test_table_out_into_a_missing_directory_exits_1(tmp_path, capsys):

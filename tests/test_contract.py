@@ -53,7 +53,7 @@ PUBLIC_PARAMETERS = {
     "hyp2f1": ("spec",),
     "integrate_halfline": ("f", "tol"),
     "integrate_singular": ("f", "tol"),
-    "invert_monotone": ("g", "target", "lo", "hi", "tol"),
+    "invert_monotone": ("g", "target", "lo", "hi", "tol", "start"),
     "legendre_residual": ("p", "q", "k"),
     "log_gamma": ("x",),
     "mean_ag": ("a", "b"),

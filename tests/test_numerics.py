@@ -620,18 +620,25 @@ def test_tail_cut_changes_no_bit(monkeypatch, mp_work_grid):
 # ---------------------------------------------------------- invert_monotone
 
 
+def _asin(x):
+    """asin with its slope and curvature, both infinite at 1."""
+    if x == 1.0:
+        return math.asin(x), math.inf, math.inf
+    d = 1.0 / math.sqrt(1.0 - x * x)
+    return math.asin(x), d, x * d**3
+
+
 def test_invert_identity_cube_arcsin():
-    assert abs(invert_monotone(lambda x: (x, 1.0), 0.3, 0.0, 1.0, 1e-12) - 0.3) <= 1e-11
-    cube = lambda x: (x**3, 3.0 * x * x)
+    assert abs(invert_monotone(lambda x: (x, 1.0, 0.0), 0.3, 0.0, 1.0, 1e-12) - 0.3) <= 1e-11
+    cube = lambda x: (x**3, 3.0 * x * x, 6.0 * x)
     assert abs(invert_monotone(cube, 0.008, 0.0, 1.0, 1e-12) - 0.2) <= 1e-10
-    asin = lambda x: (math.asin(x), 1.0 / math.sqrt(1.0 - x * x) if x < 1.0 else math.inf)
-    got = invert_monotone(asin, math.pi / 6.0, 0.0, 1.0, 1e-12)
+    got = invert_monotone(_asin, math.pi / 6.0, 0.0, 1.0, 1e-12)
     assert abs(got - 0.5) <= 1e-11
 
 
 def test_invert_roundtrip_grid():
     tol = 1e-12
-    g = lambda x: (x**3 + x, 3.0 * x * x + 1.0)  # slope >= 1 everywhere
+    g = lambda x: (x**3 + x, 3.0 * x * x + 1.0, 6.0 * x)  # slope >= 1 everywhere
     for i in range(50):
         x = 0.02 + (2.0 - 0.02) * i / 49.0
         back = invert_monotone(g, g(x)[0], 0.0, 2.5, tol)
@@ -639,12 +646,13 @@ def test_invert_roundtrip_grid():
 
 
 def test_invert_endpoints_and_bracket_error():
-    assert invert_monotone(lambda x: (x, 1.0), 0.0, 0.0, 1.0, 1e-12) == 0.0
-    assert invert_monotone(lambda x: (x, 1.0), 1.0, 0.0, 1.0, 1e-12) == 1.0
+    line = lambda x: (x, 1.0, 0.0)
+    assert invert_monotone(line, 0.0, 0.0, 1.0, 1e-12) == 0.0
+    assert invert_monotone(line, 1.0, 0.0, 1.0, 1e-12) == 1.0
     with pytest.raises(ValueError):
-        invert_monotone(lambda x: (x, 1.0), 2.0, 0.0, 1.0, 1e-12)
+        invert_monotone(line, 2.0, 0.0, 1.0, 1e-12)
     with pytest.raises(ValueError):
-        invert_monotone(lambda x: (x, 1.0), -0.1, 0.0, 1.0, 1e-12)
+        invert_monotone(line, -0.1, 0.0, 1.0, 1e-12)
 
 
 def test_invert_rejects_an_empty_bracket_and_bad_tol():
@@ -666,26 +674,68 @@ def _logged(g, log):
     return wrapped
 
 
-def test_invert_with_slopes_converges_in_newton_steps():
-    def g(x):  # asin with its slope, infinite at 1
-        return math.asin(x), 1.0 / math.sqrt(1.0 - x * x) if x < 1.0 else math.inf
+def _newton(g):
+    """g with its curvature replaced by 0, so every step is Newton's."""
+    return lambda x: g(x)[:2] + (0.0,)
 
+
+def test_invert_with_slopes_converges_in_newton_steps():
     log = []
-    got = invert_monotone(_logged(g, log), math.pi / 6.0, 0.0, 1.0, 1e-12)
+    got = invert_monotone(_logged(_newton(_asin), log), math.pi / 6.0, 0.0, 1.0, 1e-12)
     assert abs(math.asin(got) - math.pi / 6.0) <= 1e-12
     assert len(log) <= 6, log  # the two ends and at most four Newton steps
     assert log[2] == math.pi / 6.0  # the first step: from 0, the end nearer the target
 
 
+def test_invert_halley_from_a_close_start_meets_tol_in_two_steps():
+    log = []
+    got = invert_monotone(_logged(_asin, log), math.pi / 6.0, 0.0, 1.0, 1e-12, 0.55)
+    assert abs(math.asin(got) - math.pi / 6.0) <= 1e-12
+    assert log[2] == 0.55  # the start, then at most two Halley steps
+    assert len(log) <= 5, log
+
+
+def test_invert_halley_factor_outside_its_range_takes_the_newton_step():
+    # g'' so large, of either sign, or not finite, that the correction factor
+    # 1/(1 - r g''/(2 g'^2)) is never in [1/2, 2]: every iterate is Newton's
+    newton = []
+    invert_monotone(_logged(_newton(_asin), newton), math.pi / 6.0, 0.0, 1.0, 1e-12, 0.55)
+    for e in (1e300, -1e300, math.inf, -math.inf, math.nan):
+        log = []
+        g = lambda x, e=e: _asin(x)[:2] + (e,)
+        invert_monotone(_logged(g, log), math.pi / 6.0, 0.0, 1.0, 1e-12, 0.55)
+        assert log == newton, e
+
+
+def test_invert_halley_factor_at_the_ends_of_its_range():
+    # from 0.5 towards 0.375 on a line, r = 1/8 and u = r g''/(2 g'^2) = e/16:
+    # the factor 1/(1 - u) is 2 at e = 8 and 1/2 at e = -16, and just past
+    # either the step is Newton's, which lands on the root
+    for e, step in ((8.0, 0.25), (-16.0, 0.4375), (8.0 + 1e-9, 0.375), (-16.0 - 1e-9, 0.375)):
+        log = []
+        invert_monotone(_logged(lambda x, e=e: (x, 1.0, e), log), 0.375, 0.0, 1.0, 1e-12, 0.5)
+        assert log[2:4] == [0.5, step], e
+
+
+def test_invert_start_outside_the_open_bracket_steps_from_an_end():
+    end_step = []
+    invert_monotone(_logged(_asin, end_step), math.pi / 6.0, 0.0, 1.0, 1e-12)
+    assert end_step[2] == math.pi / 6.0  # from 0: asin'' is 0 there, a Newton step
+    for start in (0.0, 1.0, -0.5, 1.5, math.inf, math.nan):
+        log = []
+        invert_monotone(_logged(_asin, log), math.pi / 6.0, 0.0, 1.0, 1e-12, start)
+        assert log == end_step, start
+
+
 def test_invert_newton_step_leaving_the_bracket_bisects():
     # a slope 1000 times too small sends the first step from 0 to 300
     log = []
-    invert_monotone(_logged(lambda x: (x, 1e-3), log), 0.3, 0.0, 1.0, 1e-12)
+    invert_monotone(_logged(lambda x: (x, 1e-3, 0.0), log), 0.3, 0.0, 1.0, 1e-12)
     assert log[:3] == [0.0, 1.0, 0.5]
     # no slope there (infinite or zero) bisects too
     for slope in (math.inf, 0.0):
         log = []
-        invert_monotone(_logged(lambda x, d=slope: (x, d), log), 0.3, 0.0, 1.0, 1e-12)
+        invert_monotone(_logged(lambda x, d=slope: (x, d, 0.0), log), 0.3, 0.0, 1.0, 1e-12)
         assert log[:3] == [0.0, 1.0, 0.5]
 
 
@@ -694,7 +744,7 @@ def test_invert_newton_step_rounding_onto_an_end_moves_one_ulp():
     # that round back onto 0.3 move one ulp, and the inversion stops there
     # instead of bisecting [0.3, 1]
     log = []
-    g = _logged(lambda x: ((x - 0.3) * 1e20, 1e20), log)
+    g = _logged(lambda x: ((x - 0.3) * 1e20, 1e20, 0.0), log)
     with pytest.raises(ConvergenceError, match="inversion stalled with residual 2000"):
         invert_monotone(g, 2000.0, 0.0, 1.0, 1.0)
     assert log[2:] == [0.3, math.nextafter(0.3, 1.0)]
@@ -703,7 +753,7 @@ def test_invert_newton_step_rounding_onto_an_end_moves_one_ulp():
 def test_invert_with_slopes_rejects_an_unbracketed_target():
     for target in (2.0, -0.1):
         with pytest.raises(ValueError, match="is not bracketed"):
-            invert_monotone(lambda x: (x, 1.0), target, 0.0, 1.0, 1e-12)
+            invert_monotone(lambda x: (x, 1.0, 0.0), target, 0.0, 1.0, 1e-12)
 
 
 # ----------------------------------------------------------------- EvalResult
